@@ -1,9 +1,17 @@
 //! Router micro-benchmark smoke for nightly CI.
 //!
-//! Times every QLS tool on the fixed grid(4,4) workload (the same instance
-//! the `routers` criterion bench uses) and writes a `router_timings.json`
-//! report, so the routing kernel's performance trajectory is measurable
-//! PR-over-PR next to the engine's `engine_timings.json` artifact.
+//! Times every QLS tool on two fixed workloads and writes a
+//! `router_timings.json` report, so the routing kernel's performance
+//! trajectory is measurable change over change next to the engine's
+//! `engine_timings.json` artifact:
+//!
+//! * grid(4,4), 120 two-qubit gates, designed 4 SWAPs — the instance the
+//!   `routers` criterion bench uses;
+//! * rochester-53, 400 two-qubit gates, designed 10 SWAPs — large enough
+//!   that the QMAP A* exhausts its expansion budget on several layers, so
+//!   its hot path is timed too.
+//!
+//! Each row names its `device`.
 //!
 //! ```text
 //! router_bench                                # print the timing table
@@ -12,7 +20,7 @@
 //! ```
 
 use qubikos::{generate, GeneratorConfig};
-use qubikos_arch::devices;
+use qubikos_arch::{devices, Architecture};
 use qubikos_bench::microbench::TimingSamples;
 use qubikos_layout::ToolKind;
 use serde::Serialize;
@@ -20,6 +28,7 @@ use serde::Serialize;
 /// One tool's timing row in the JSON export (durations in nanoseconds).
 #[derive(Debug, Serialize)]
 struct RouterTiming {
+    device: String,
     tool: String,
     median_ns: u64,
     min_ns: u64,
@@ -35,43 +44,54 @@ fn main() {
     let json_path = qubikos_bench::microbench::json_path_flag(&args);
     let samples = qubikos_bench::microbench::samples_flag(&args, 15);
 
-    // The same fixed workload as the `route_grid4x4_120g_4swaps` criterion
-    // group: a 4-SWAP/120-gate QUBIKOS instance on grid(4,4), seed 9.
-    let arch = devices::grid(4, 4);
-    let workload =
-        generate(&arch, &GeneratorConfig::new(4, 120).with_seed(9)).expect("workload generates");
-
+    // The grid workload is the same fixed instance as the
+    // `route_grid4x4_120g_4swaps` criterion group (seed 9).
+    let workloads: [(Architecture, usize, usize, u64); 2] = [
+        (devices::grid(4, 4), 4, 120, 9),
+        (devices::rochester53(), 10, 400, 1),
+    ];
     let mut rows = Vec::new();
-    println!("router timings on grid-4x4 (120 two-qubit gates, designed 4 SWAPs)");
-    println!(
-        "{:<12} {:>12} {:>12} {:>12} {:>8}",
-        "tool", "median", "min", "max", "swaps"
-    );
-    for tool in ToolKind::ALL {
-        let router = tool.build(7);
-        // Warm-up run, also the SWAP-count witness.
-        let routed = router.route(workload.circuit(), &arch).expect("fits");
-        let times = TimingSamples::collect(samples, || {
-            let result = router.route(workload.circuit(), &arch).expect("fits");
-            std::hint::black_box(result);
-        });
-        let row = RouterTiming {
-            tool: tool.name().to_string(),
-            median_ns: times.median_ns(),
-            min_ns: times.min_ns(),
-            max_ns: times.max_ns(),
-            samples,
-            swap_count: routed.swap_count(),
-        };
+    for (arch, designed, gates, seed) in workloads {
+        let workload = generate(
+            &arch,
+            &GeneratorConfig::new(designed, gates).with_seed(seed),
+        )
+        .expect("workload generates");
         println!(
-            "{:<12} {:>9.3} ms {:>9.3} ms {:>9.3} ms {:>8}",
-            row.tool,
-            row.median_ns as f64 / 1e6,
-            row.min_ns as f64 / 1e6,
-            row.max_ns as f64 / 1e6,
-            row.swap_count
+            "router timings on {} ({gates} two-qubit gates, designed {designed} SWAPs)",
+            arch.name()
         );
-        rows.push(row);
+        println!(
+            "{:<12} {:>12} {:>12} {:>12} {:>8}",
+            "tool", "median", "min", "max", "swaps"
+        );
+        for tool in ToolKind::ALL {
+            let router = tool.build(7);
+            // Warm-up run, also the SWAP-count witness.
+            let routed = router.route(workload.circuit(), &arch).expect("fits");
+            let times = TimingSamples::collect(samples, || {
+                let result = router.route(workload.circuit(), &arch).expect("fits");
+                std::hint::black_box(result);
+            });
+            let row = RouterTiming {
+                device: arch.name().to_string(),
+                tool: tool.name().to_string(),
+                median_ns: times.median_ns(),
+                min_ns: times.min_ns(),
+                max_ns: times.max_ns(),
+                samples,
+                swap_count: routed.swap_count(),
+            };
+            println!(
+                "{:<12} {:>9.3} ms {:>9.3} ms {:>9.3} ms {:>8}",
+                row.tool,
+                row.median_ns as f64 / 1e6,
+                row.min_ns as f64 / 1e6,
+                row.max_ns as f64 / 1e6,
+                row.swap_count
+            );
+            rows.push(row);
+        }
     }
 
     if let Some(path) = json_path {

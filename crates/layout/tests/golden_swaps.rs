@@ -221,3 +221,66 @@ fn golden_swap_counts_on_osprey433_queko() {
         .expect("generates");
     check_fixture("osprey-433", &arch, queko.circuit(), [2, 22, 4, 4]);
 }
+
+/// QMAP SWAP-stream fixtures on realistic QUBIKOS instances: 400 two-qubit
+/// gates with 10 and 20 designed SWAPs on rochester-53 and sycamore-54. At
+/// this size the A* exhausts its 4,000-expansion budget on several layers
+/// per route, so the digests pin the budget fallback and its greedy
+/// completion as well as the search's expansion order. The digest is the
+/// content hash of the routed circuit's QASM, so any change to a single
+/// SWAP (or to where a gate lands between SWAPs) fails here, not only a
+/// change in the count.
+#[test]
+fn golden_qmap_swap_streams_on_qubikos_instances() {
+    use qubikos::manifest::content_hash;
+    use qubikos::{generate, GeneratorConfig};
+    use qubikos_circuit::to_qasm;
+    /// (name, arch, designed SWAPs, golden SWAP count, golden QASM digest).
+    type Fixture = (&'static str, Architecture, usize, usize, &'static str);
+    let fixtures: [Fixture; 4] = [
+        (
+            "rochester-53",
+            devices::rochester53(),
+            10,
+            771,
+            "39f431ab60212b4e20c3a17595e0370c",
+        ),
+        (
+            "rochester-53",
+            devices::rochester53(),
+            20,
+            937,
+            "4aa711c693f7a59560c08dba44410e86",
+        ),
+        (
+            "sycamore-54",
+            devices::sycamore54(),
+            10,
+            679,
+            "3e7f299120d8f9187a4a0908860987ff",
+        ),
+        (
+            "sycamore-54",
+            devices::sycamore54(),
+            20,
+            752,
+            "007934747609e2511edcf96bbfdcccea",
+        ),
+    ];
+    for (name, arch, designed, swaps, digest) in fixtures {
+        let instance =
+            generate(&arch, &GeneratorConfig::new(designed, 400).with_seed(1)).expect("generates");
+        let circuit = instance.circuit();
+        let routed = ToolKind::Qmap
+            .build(TOOL_SEED)
+            .route(circuit, &arch)
+            .expect("fits");
+        validate_routing(circuit, &arch, &routed).expect("valid routing");
+        let got = content_hash(&to_qasm(&routed.physical_circuit));
+        assert_eq!(
+            (routed.swap_count(), got.as_str()),
+            (swaps, digest),
+            "{name} designed {designed}: qmap SWAP stream changed"
+        );
+    }
+}
