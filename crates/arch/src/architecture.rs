@@ -38,12 +38,11 @@ impl Error for ArchitectureError {}
 /// A named device: a connected coupling graph plus its distance oracle.
 ///
 /// [`Architecture::new`] picks the oracle automatically: devices up to
-/// [`qubikos_graph::DENSE_ORACLE_MAX_NODES`] qubits get the eager dense
-/// matrix, larger ones (Eagle-127, Osprey-433) the landmark-backed
-/// on-demand BFS oracle — a bounded, pinnable row cache for exact queries
-/// plus an O(L) triangle-inequality bound index for candidate-scan pruning
-/// — so peak memory stays far below n². Every point query is an exact hop
-/// distance on every tier, so the choice can never change a routing
+/// [`qubikos_graph::DENSE_ORACLE_MAX_NODES`] qubits — every built-in device,
+/// Eagle-127 and Osprey-433 included — get the eager dense matrix; larger
+/// user-built graphs get the on-demand BFS oracle, a bounded, pinnable row
+/// cache whose memory stays far below n². Every query is an exact hop
+/// distance on both tiers, so the choice can never change a routing
 /// result; [`Architecture::with_oracle`] overrides it for tests and
 /// benchmarks.
 ///
@@ -96,9 +95,9 @@ impl Architecture {
     }
 
     /// Builds an architecture with an explicit oracle kind *and* row-cache
-    /// capacity (`None` = the default
-    /// [`qubikos_graph::SPARSE_ROW_CACHE_CAPACITY`]; ignored by the dense
-    /// matrix, which has no cache). Capacity is a performance knob, not
+    /// capacity (`None` = [`qubikos_graph::default_row_capacity`] of the
+    /// qubit count, `max(64, n/3)`; ignored by the dense matrix, which has
+    /// no cache). Capacity is a performance knob, not
     /// identity: it does not participate in equality or serialization, and
     /// a deserialized architecture gets the default capacity back.
     ///
@@ -321,21 +320,21 @@ mod tests {
     }
 
     #[test]
-    fn small_devices_get_dense_large_get_landmark() {
+    fn small_devices_get_dense_large_get_sparse() {
         let small = Architecture::new("grid", generators::grid_graph(3, 3)).expect("connected");
         assert_eq!(small.oracle_kind(), OracleKind::Dense);
         assert_eq!(small.oracle_stats().rows_computed, 9);
-        let big = Architecture::new("big-grid", generators::grid_graph(9, 10)).expect("connected");
+        let big = Architecture::new("big-grid", generators::grid_graph(23, 23)).expect("connected");
         assert!(big.num_qubits() > DENSE_ORACLE_MAX_NODES);
-        assert_eq!(big.oracle_kind(), OracleKind::Landmark);
+        assert_eq!(big.oracle_kind(), OracleKind::Sparse);
         assert_eq!(big.oracle_stats().rows_computed, 0);
-        assert!(big.oracle().landmark().is_some());
+        assert!(big.oracle().row_tier().is_some());
     }
 
     #[test]
     fn capacity_override_and_pin_channel_thread_through() {
         let g = generators::grid_graph(9, 10);
-        let arch = Architecture::with_oracle_capacity("g", g, OracleKind::Landmark, Some(7))
+        let arch = Architecture::with_oracle_capacity("g", g, OracleKind::Sparse, Some(7))
             .expect("connected");
         let tier = arch.oracle().row_tier().expect("cached kind");
         assert_eq!(tier.row_cache_capacity(), 7);
@@ -346,7 +345,7 @@ mod tests {
         assert_eq!(arch.oracle_stats().pinned_hits, 1);
         // Capacity is not identity: same name/coupling/kind compare equal.
         let default_cap =
-            Architecture::with_oracle("g", arch.coupling_graph().clone(), OracleKind::Landmark)
+            Architecture::with_oracle("g", arch.coupling_graph().clone(), OracleKind::Sparse)
                 .expect("connected");
         assert_eq!(arch, default_cap);
         // Dense architectures accept (and ignore) the pin hint.
@@ -420,7 +419,7 @@ mod tests {
 
     #[test]
     fn serde_round_trips_all_oracle_kinds() {
-        for kind in [OracleKind::Dense, OracleKind::Sparse, OracleKind::Landmark] {
+        for kind in [OracleKind::Dense, OracleKind::Sparse] {
             let arch =
                 Architecture::with_oracle("rt", generators::grid_graph(3, 3), kind).expect("ok");
             let json = serde_json::to_string(&arch).expect("serialize");
@@ -428,6 +427,26 @@ mod tests {
             assert_eq!(back, arch);
             assert_eq!(back.oracle_kind(), kind);
             assert_eq!(back.distance(0, 8), 4);
+        }
+    }
+
+    /// The removed landmark tier is an unknown oracle kind at the input
+    /// boundary: a typed error, not a panic.
+    #[test]
+    fn deserialize_rejects_the_removed_landmark_oracle() {
+        let arch = Architecture::new("rt", generators::grid_graph(3, 3)).expect("ok");
+        let json = serde_json::to_string(&arch)
+            .expect("serialize")
+            .replace(r#""Dense""#, r#""Landmark""#);
+        assert!(json.contains(r#""oracle":"Landmark""#), "{json}");
+        let err = serde_json::from_str::<Architecture>(&json).expect_err("unknown kind");
+        assert!(!err.to_string().is_empty());
+        for bad in ["landmark", "LANDMARK"] {
+            let json = json.replace("Landmark", bad);
+            assert!(
+                serde_json::from_str::<Architecture>(&json).is_err(),
+                "{bad}"
+            );
         }
     }
 

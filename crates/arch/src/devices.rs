@@ -63,33 +63,14 @@ impl DeviceKind {
     ];
 
     /// Builds the architecture.
-    ///
-    /// This is the chokepoint every experiment pipeline builds devices
-    /// through, so it honors the [`ORACLE_ROWS_ENV`] override: when
-    /// `QUBIKOS_ORACLE_ROWS` is set to a positive integer, devices with a
-    /// cached (sparse or landmark) oracle are rebuilt with that row-cache
-    /// capacity. Dense devices and unset/invalid values are unaffected —
-    /// capacity is a performance knob that can never change a distance.
     pub fn build(self) -> Architecture {
-        let arch = match self {
+        match self {
             DeviceKind::Grid3x3 => grid(3, 3),
             DeviceKind::Aspen4 => aspen4(),
             DeviceKind::Sycamore54 => sycamore54(),
             DeviceKind::Rochester53 => rochester53(),
             DeviceKind::Eagle127 => eagle127(),
             DeviceKind::Osprey433 => osprey433(),
-        };
-        match (oracle_rows_override(), arch.oracle_kind()) {
-            (Some(rows), kind) if kind != qubikos_graph::OracleKind::Dense => {
-                Architecture::with_oracle_capacity(
-                    arch.name(),
-                    arch.coupling_graph().clone(),
-                    kind,
-                    Some(rows),
-                )
-                .expect("rebuilt from a valid architecture")
-            }
-            _ => arch,
         }
     }
 
@@ -151,21 +132,6 @@ impl DeviceKind {
             suggestion,
         })
     }
-}
-
-/// Environment variable overriding the distance-oracle row-cache capacity
-/// for devices built through [`DeviceKind::build`] (the CLI path). Positive
-/// integers only; anything else is ignored.
-pub const ORACLE_ROWS_ENV: &str = "QUBIKOS_ORACLE_ROWS";
-
-/// The parsed [`ORACLE_ROWS_ENV`] value, if set to a positive integer.
-pub fn oracle_rows_override() -> Option<usize> {
-    std::env::var(ORACLE_ROWS_ENV)
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&rows| rows > 0)
 }
 
 /// Error from [`DeviceKind::parse`]: the input was not a known device name.
@@ -575,16 +541,14 @@ mod tests {
     }
 
     #[test]
-    fn large_devices_route_through_the_landmark_oracle() {
+    fn every_built_in_device_routes_on_the_dense_oracle() {
         use qubikos_graph::OracleKind;
-        assert_eq!(eagle127().oracle_kind(), OracleKind::Landmark);
-        assert_eq!(osprey433().oracle_kind(), OracleKind::Landmark);
-        assert_eq!(rochester53().oracle_kind(), OracleKind::Dense);
-        assert_eq!(sycamore54().oracle_kind(), OracleKind::Dense);
-        // The landmark tier is sized by sqrt(n).
-        let eagle = eagle127();
-        let landmark = eagle.oracle().landmark().expect("landmark-backed");
-        assert_eq!(landmark.index().landmark_count(), 12);
+        for kind in DeviceKind::ALL {
+            let arch = kind.build();
+            assert_eq!(arch.oracle_kind(), OracleKind::Dense, "{}", arch.name());
+            // The table is built eagerly: one BFS row per qubit.
+            assert_eq!(arch.oracle_stats().rows_computed, arch.num_qubits() as u64);
+        }
     }
 
     #[test]

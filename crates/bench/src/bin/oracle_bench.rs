@@ -1,14 +1,16 @@
 //! Distance-oracle scaling smoke for nightly CI.
 //!
 //! Routes a 127-qubit Eagle QUEKO instance and a 433-qubit Osprey QUEKO
-//! instance through all four QLS tools on the landmark-backed oracle, and
-//! writes an `oracle_timings.json` report pairing per-router wall-clock
-//! medians with the oracle's own counters — queries answered, BFS rows
-//! recomputed, cache hits, pinned-row hits, landmark bound queries, exact
-//! fallbacks, and the landmark index's measured stretch. A routing change
-//! that starts thrashing the bounded row cache shows up here as a
-//! `rows_computed` jump long before it costs enough wall-clock to fail a
-//! timing gate; a landmark-selection regression shows up as a stretch jump.
+//! instance through all four QLS tools twice: on the auto-selected dense
+//! table and on a forced sparse (cached-row) oracle. It writes an
+//! `oracle_timings.json` report pairing per-router wall-clock medians with
+//! the oracle's own counters — queries answered, BFS rows recomputed, cache
+//! hits and pinned-row hits. The dense rows show what the default costs; the
+//! sparse rows keep the tier that serves user-built graphs above the dense
+//! cutoff honest at scale. A routing change that starts thrashing the
+//! bounded row cache shows up as a `rows_computed` jump long before it
+//! costs enough wall-clock to fail a timing gate. Both oracles answer exact
+//! distances, so each tool's `swap_count` must match across them.
 //!
 //! ```text
 //! oracle_bench                                # print the table
@@ -20,13 +22,12 @@ use qubikos::queko::{generate_queko, QuekoConfig};
 use qubikos_arch::{devices, Architecture};
 use qubikos_bench::microbench::TimingSamples;
 use qubikos_circuit::Circuit;
+use qubikos_graph::OracleKind;
 use qubikos_layout::ToolKind;
 use serde::Serialize;
 
-/// Sources sampled by the per-device landmark stretch sweep.
-const STRETCH_SOURCES: usize = 16;
-
-/// One (device, tool) row in the JSON export (durations in nanoseconds).
+/// One (device, oracle, tool) row in the JSON export (durations in
+/// nanoseconds).
 #[derive(Debug, Serialize)]
 struct OracleTiming {
     device: String,
@@ -41,7 +42,8 @@ struct OracleTiming {
     /// Oracle backend answering this route's distance queries.
     oracle: String,
     /// Distance queries the route issued (from the warm-up route's
-    /// [`qubikos_graph::OracleStats::since`] delta).
+    /// [`qubikos_graph::OracleStats::since`] delta; 0 on the dense table,
+    /// which does not count its reads).
     queries: u64,
     /// BFS rows recomputed during the route; the thrash indicator.
     rows_computed: u64,
@@ -49,20 +51,11 @@ struct OracleTiming {
     cache_hits: u64,
     /// Cache hits on rows pinned for the scorer's current gate front.
     pinned_hits: u64,
-    /// Approximate bound queries answered by the landmark index.
-    landmark_queries: u64,
-    /// Candidates bound pruning could not discard (scored exactly).
-    exact_fallbacks: u64,
     /// Rows resident after the route — never exceeds `cache_capacity`.
     cached_rows: usize,
     /// The oracle's row-cache bound (0 for the dense backend, which holds
     /// every row by construction).
     cache_capacity: usize,
-    /// Worst sampled `upper_bound / exact` of the landmark index over
-    /// [`STRETCH_SOURCES`] BFS sources (`None` without a landmark tier,
-    /// `1.0` when every sampled upper bound was exact). A device property,
-    /// not a route property — identical across this device's rows.
-    landmark_stretch: Option<f64>,
 }
 
 fn bench_route(
@@ -70,7 +63,6 @@ fn bench_route(
     circuit: &Circuit,
     tool: ToolKind,
     samples: usize,
-    landmark_stretch: Option<f64>,
 ) -> OracleTiming {
     let router = tool.build(7);
     // Warm-up run doubles as the SWAP-count and oracle-stats witness.
@@ -99,20 +91,40 @@ fn bench_route(
         rows_computed: delta.rows_computed,
         cache_hits: delta.cache_hits,
         pinned_hits: delta.pinned_hits,
-        landmark_queries: delta.landmark_queries,
-        exact_fallbacks: delta.exact_fallbacks,
         cached_rows,
         cache_capacity,
-        landmark_stretch,
     }
 }
 
-/// Measure the landmark stretch once per device, before any routing, so the
-/// sweep's own row traffic never contaminates a route's stats delta.
-fn device_stretch(arch: &Architecture) -> Option<f64> {
-    arch.oracle()
-        .landmark()
-        .map(|oracle| oracle.measured_stretch(STRETCH_SOURCES))
+/// Routes `circuit` through every tool on the auto-selected oracle of
+/// `device` and on a forced sparse rebuild of it, checking that both
+/// oracles give every tool the same SWAP count.
+fn bench_device(
+    device: &Architecture,
+    circuit: &Circuit,
+    samples: usize,
+    rows: &mut Vec<OracleTiming>,
+) {
+    let sparse = Architecture::with_oracle(
+        device.name(),
+        device.coupling_graph().clone(),
+        OracleKind::Sparse,
+    )
+    .expect("rebuilt from a valid architecture");
+    let start = rows.len();
+    for arch in [device, &sparse] {
+        for tool in ToolKind::ALL {
+            rows.push(bench_route(arch, circuit, tool, samples));
+        }
+    }
+    let (auto, forced) = rows[start..].split_at(ToolKind::ALL.len());
+    for (a, f) in auto.iter().zip(forced) {
+        assert_eq!(
+            a.swap_count, f.swap_count,
+            "{}/{}: the oracle tier changed a routing decision",
+            a.device, a.tool
+        );
+    }
 }
 
 fn main() {
@@ -122,63 +134,37 @@ fn main() {
 
     let mut rows = Vec::new();
     println!(
-        "{:<12} {:<12} {:>10} {:>7} {:>12} {:>8} {:>10} {:>8} {:>8} {:>8} {:>7}",
-        "device",
-        "tool",
-        "median",
-        "swaps",
-        "queries",
-        "rows",
-        "hits",
-        "pinned",
-        "lmq",
-        "exact",
-        "stretch"
+        "{:<12} {:<7} {:<12} {:>10} {:>7} {:>12} {:>8} {:>10} {:>8}",
+        "device", "oracle", "tool", "median", "swaps", "queries", "rows", "hits", "pinned"
     );
 
     // Eagle-127 through all four routers: the headline scaling scenario.
-    // Density 0.05 keeps the source working set inside the row cache (the
-    // cliff sat between 0.05 and 0.08 at 64 slots — see the routing-scale
-    // test in `qubikos`), so this row doubles as a thrash tripwire.
+    // Density 0.05 keeps the source working set inside the sparse row cache
+    // (the cliff sat between 0.05 and 0.08 at 64 slots — see the
+    // routing-scale test in `qubikos`), so its sparse rows double as a
+    // thrash tripwire.
     let eagle = devices::eagle127();
-    let eagle_stretch = device_stretch(&eagle);
     let queko = generate_queko(&eagle, &QuekoConfig::new(6).with_density(0.05).with_seed(5))
         .expect("generates");
-    for tool in ToolKind::ALL {
-        rows.push(bench_route(
-            &eagle,
-            queko.circuit(),
-            tool,
-            samples,
-            eagle_stretch,
-        ));
-    }
+    bench_device(&eagle, queko.circuit(), samples, &mut rows);
 
-    // Osprey-433 through all four routers: 3.4x the qubits on a row cache
-    // that stays sublinear in n², pinning the per-gate-cost claim at depth.
+    // Osprey-433 through all four routers: 3.4x the qubits, and on the
+    // sparse rows a row cache that stays sublinear in n².
     // Shallow density keeps the (deliberately expensive) A* router
     // affordable; the oracle counters don't depend on instance size.
     let osprey = devices::osprey433();
-    let osprey_stretch = device_stretch(&osprey);
     let queko = generate_queko(
         &osprey,
         &QuekoConfig::new(6).with_density(0.01).with_seed(8),
     )
     .expect("generates");
-    for tool in ToolKind::ALL {
-        rows.push(bench_route(
-            &osprey,
-            queko.circuit(),
-            tool,
-            samples,
-            osprey_stretch,
-        ));
-    }
+    bench_device(&osprey, queko.circuit(), samples, &mut rows);
 
     for row in &rows {
         println!(
-            "{:<12} {:<12} {:>7.1} ms {:>7} {:>12} {:>8} {:>10} {:>8} {:>8} {:>8} {:>7}",
+            "{:<12} {:<7} {:<12} {:>7.1} ms {:>7} {:>12} {:>8} {:>10} {:>8}",
             row.device,
+            row.oracle,
             row.tool,
             row.median_ns as f64 / 1e6,
             row.swap_count,
@@ -186,10 +172,6 @@ fn main() {
             row.rows_computed,
             row.cache_hits,
             row.pinned_hits,
-            row.landmark_queries,
-            row.exact_fallbacks,
-            row.landmark_stretch
-                .map_or_else(|| "-".to_string(), |s| format!("{s:.2}")),
         );
     }
 

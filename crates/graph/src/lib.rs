@@ -13,12 +13,9 @@
 //!   workhorse of every SWAP-routing heuristic.
 //! * [`csr`] — frozen compressed-sparse-row adjacency for cache-friendly BFS
 //!   on routing-scale devices.
-//! * [`oracle`] — the [`DistanceOracle`] abstraction: dense matrix or
-//!   on-demand BFS with a bounded, pinnable row cache, one exact-distance
-//!   query API.
-//! * [`landmark`] — Thorup–Zwick-style landmark index answering O(L)
-//!   triangle-inequality distance bounds for candidate-scan pruning, layered
-//!   over the exact oracle as the routing-scale default.
+//! * [`oracle`] — the [`DistanceOracle`] abstraction: dense matrix (every
+//!   built-in device) or on-demand BFS with a bounded, pinnable row cache
+//!   (graphs above 512 nodes), one exact-distance query API.
 //! * [`isomorphism`] — VF2-style subgraph monomorphism, used both to check
 //!   that QUBIKOS interaction graphs cannot be embedded into the coupling
 //!   graph and to implement QUEKO-style initial placement.
@@ -46,7 +43,6 @@ pub mod distance;
 pub mod generators;
 pub mod graph;
 pub mod isomorphism;
-pub mod landmark;
 pub mod oracle;
 pub mod traversal;
 pub mod weights;
@@ -55,7 +51,6 @@ pub use csr::CsrGraph;
 pub use distance::DistanceMatrix;
 pub use graph::{Edge, Graph, NodeId};
 pub use isomorphism::{find_subgraph_embedding, is_subgraph_isomorphic, Vf2Matcher};
-pub use landmark::{default_landmark_count, LandmarkIndex, LandmarkOracle};
 pub use oracle::{
     default_row_capacity, BfsOracle, DistanceOracle, DistanceRow, OracleKind, OracleStats,
     DENSE_ORACLE_MAX_NODES, SPARSE_ROW_CACHE_CAPACITY,

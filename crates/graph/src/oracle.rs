@@ -1,27 +1,33 @@
 //! Distance oracles: exact hop distances behind one query API.
 //!
 //! Every SWAP router and exact lower bound in the suite scores against
-//! coupling-graph distances. Up to ~50 qubits the right representation is the
-//! eagerly-built dense [`DistanceMatrix`] (one BFS per node, O(n²) memory, a
-//! single array read per query). At Eagle/Osprey scale (127/433 qubits,
-//! heavy-hex) the n² matrix stops being free and almost all of it is never
-//! read during a route: the [`BfsOracle`] instead keeps the adjacency in CSR
-//! form and computes distance *rows* on demand, recycling them through a
-//! small stamped LRU cache so repeated queries against the same source (the
-//! common router access pattern — every candidate SWAP is scored against the
-//! same handful of front-gate qubits) cost one array read.
+//! coupling-graph distances. There are two tiers:
 //!
-//! On top of the exact tiers sits the [`LandmarkOracle`]
-//! (see [`crate::landmark`]): an exact `BfsOracle` paired with a small set of
-//! landmark BFS rows answering O(L) triangle-inequality *bounds* for the
-//! candidate-scan workload, with every point query still answered exactly.
+//! * The eagerly-built dense [`DistanceMatrix`]: one BFS per node, O(n²)
+//!   memory, and a query is a single array read — no lock, no refcount, no
+//!   shared counter. Every built-in device gets it: the table costs 126 KiB
+//!   on Eagle-127 and 1.4 MiB on Osprey-433, and Eagle-127's builds in
+//!   under half a millisecond.
+//! * The on-demand [`BfsOracle`] for user-built graphs above
+//!   [`DENSE_ORACLE_MAX_NODES`] nodes, where n² words stop being cheap. It
+//!   keeps the adjacency in CSR form and computes distance *rows* on
+//!   demand, recycling them through a stamped LRU cache so repeated queries
+//!   against the same source (every candidate SWAP is scored against the
+//!   same handful of front-gate qubits) cost one array read under a mutex.
 //!
-//! All point-distance answers are **exact** BFS hop distances — the sparse
-//! and landmark oracles are lazy, not approximate — so selecting any tier
-//! can never change a routing decision. [`DistanceOracle`] is the closed
-//! enum over the three, chosen automatically by node count (see
-//! [`OracleKind::auto_for`]) with an explicit override for tests and
-//! benchmarks.
+//! The cutoff is measured, not guessed. When Eagle-127 routed on the
+//! cached tier, the shared oracle's mutex, row refcounts and atomic counters
+//! made cold LightSABRE/t|ket⟩/ML-QLS evaluation about 5× slower than on the
+//! dense table, and a 2-thread pipeline lost to a single thread. A landmark
+//! bound tier for pruning candidate scans used to sit on top of the cached
+//! tier; on heavy-hex its stretch was 9–11, most bound queries fell back to
+//! exact rows, and plain cached rows were as fast, so it was removed.
+//!
+//! All answers are **exact** BFS hop distances — the sparse oracle is lazy,
+//! not approximate — so selecting either tier can never change a routing
+//! decision. [`DistanceOracle`] is the closed enum over the two, chosen
+//! automatically by node count (see [`OracleKind::auto_for`]) with an
+//! explicit override for tests and benchmarks.
 //!
 //! The row cache additionally supports **pinning**: the routing kernel
 //! marks the physical qubits of the current front gates as pinned (via
@@ -32,7 +38,6 @@
 use crate::csr::CsrGraph;
 use crate::distance::DistanceMatrix;
 use crate::graph::{Graph, NodeId};
-use crate::landmark::LandmarkOracle;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::ops::Deref;
@@ -40,12 +45,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Largest node count for which [`OracleKind::auto_for`] picks the dense
-/// matrix. Chosen so every original paper device through Sycamore-54 and
-/// Rochester-53 keeps its zero-indirection dense path, while Eagle-127 and
-/// Osprey-433 route without ever materializing n² distances.
-pub const DENSE_ORACLE_MAX_NODES: usize = 64;
+/// matrix. Every built-in device, Osprey-433 included, sits below it, so
+/// every routing query on them is one array read (a 512² table is 2 MiB);
+/// only user-built graphs above it fall back to the cached row oracle.
+pub const DENSE_ORACLE_MAX_NODES: usize = 512;
 
-/// Floor on the number of distance rows the cached oracles keep resident.
+/// Floor on the number of distance rows the sparse oracle keeps resident.
 /// The default capacity is [`default_row_capacity`] — `max(64, n/3)` — so
 /// peak oracle memory stays well below the n² dense matrix while the cache
 /// covers every qubit a routing front plausibly touches between evictions,
@@ -70,33 +75,24 @@ pub enum OracleKind {
     /// On-demand [`BfsOracle`] (O(cache × n) memory, amortized O(1) queries
     /// against cached rows, one BFS per cache miss).
     Sparse,
-    /// [`LandmarkOracle`]: the sparse oracle plus an O(L × n) landmark
-    /// index answering approximate distance *bounds* in O(L), used by the
-    /// routing kernel to prune candidate scans while point queries stay
-    /// exact.
-    Landmark,
 }
 
 impl OracleKind {
     /// The automatic selection rule: dense up to
-    /// [`DENSE_ORACLE_MAX_NODES`] nodes, landmark-backed above (routing-
-    /// scale devices want both the bounded row cache and the bound-query
-    /// tier; plain `Sparse` remains an explicit choice for tests and
-    /// benchmarks).
+    /// [`DENSE_ORACLE_MAX_NODES`] nodes, sparse above.
     pub fn auto_for(nodes: usize) -> OracleKind {
         if nodes <= DENSE_ORACLE_MAX_NODES {
             OracleKind::Dense
         } else {
-            OracleKind::Landmark
+            OracleKind::Sparse
         }
     }
 
-    /// Stable lower-case name (`"dense"` / `"sparse"` / `"landmark"`).
+    /// Stable lower-case name (`"dense"` / `"sparse"`).
     pub fn name(self) -> &'static str {
         match self {
             OracleKind::Dense => "dense",
             OracleKind::Sparse => "sparse",
-            OracleKind::Landmark => "landmark",
         }
     }
 }
@@ -119,12 +115,12 @@ pub struct OracleStats {
     /// The subset of `cache_hits` answered from a *pinned* row — the
     /// front-locality hits the kernel→oracle hint channel exists to create.
     pub pinned_hits: u64,
-    /// Approximate bound queries answered by the landmark index (0 unless
-    /// the oracle is landmark-backed).
+    /// Always 0: the landmark bound tier that counted its queries here was
+    /// removed. Kept only because the repository benchmark still reads it.
     pub landmark_queries: u64,
-    /// Candidates that survived landmark bound pruning and fell back to
-    /// exact scoring (recorded by the routing kernel; 0 unless
-    /// landmark-backed).
+    /// Always 0: candidate pruning, which recorded its survivors here, went
+    /// with the landmark tier. Kept only because the repository benchmark
+    /// still reads it.
     pub exact_fallbacks: u64,
 }
 
@@ -418,25 +414,6 @@ impl BfsOracle {
         cache.compute_and_insert(&self.csr, a, self.capacity)
     }
 
-    /// The distance row from `a` if it is already resident in the cache —
-    /// a peek that never triggers a BFS. The routing kernel uses this to
-    /// upgrade landmark bound queries to exact (free) answers whenever the
-    /// front-pinned working set has kept the row warm, while cold rows keep
-    /// costing only an O(landmarks) bound instead of a full BFS.
-    ///
-    /// A hit refreshes the row's LRU stamp and counts toward `cache_hits`
-    /// (and `pinned_hits` when pinned); a miss records nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is out of range.
-    pub fn cached_row(&self, a: NodeId) -> Option<Arc<[usize]>> {
-        assert!(a < self.node_count(), "node out of range");
-        let (row, pinned) = self.lock_cache().get(a)?;
-        self.record_hit(pinned);
-        Some(row)
-    }
-
     /// Usage counters since construction (or since the last clone).
     pub fn stats(&self) -> OracleStats {
         OracleStats {
@@ -538,17 +515,15 @@ impl Deref for DistanceRow<'_> {
     }
 }
 
-/// The distance oracle of an architecture: dense matrix, sparse on-demand
-/// BFS, or landmark-backed sparse BFS — one query API (see the module
-/// docs).
+/// The distance oracle of an architecture: dense matrix or sparse
+/// on-demand BFS — one query API (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistanceOracle {
     /// Eager all-pairs matrix.
     Dense(DistanceMatrix),
-    /// Lazy cached-row oracle.
-    Sparse(BfsOracle),
-    /// Lazy cached-row oracle plus a landmark bound index.
-    Landmark(LandmarkOracle),
+    /// Lazy cached-row oracle (boxed: its cache and counters are several
+    /// times the size of the matrix handle).
+    Sparse(Box<BfsOracle>),
 }
 
 impl DistanceOracle {
@@ -575,17 +550,13 @@ impl DistanceOracle {
         kind: OracleKind,
         row_capacity: Option<usize>,
     ) -> Self {
-        let capacity = row_capacity.unwrap_or_else(|| default_row_capacity(graph.node_count()));
         match kind {
             OracleKind::Dense => DistanceOracle::Dense(DistanceMatrix::new(graph)),
             OracleKind::Sparse => {
-                DistanceOracle::Sparse(BfsOracle::with_row_capacity(graph, capacity))
+                let capacity =
+                    row_capacity.unwrap_or_else(|| default_row_capacity(graph.node_count()));
+                DistanceOracle::Sparse(Box::new(BfsOracle::with_row_capacity(graph, capacity)))
             }
-            OracleKind::Landmark => DistanceOracle::Landmark(LandmarkOracle::with_config(
-                graph,
-                capacity,
-                crate::landmark::default_landmark_count(graph.node_count()),
-            )),
         }
     }
 
@@ -594,26 +565,14 @@ impl DistanceOracle {
         match self {
             DistanceOracle::Dense(_) => OracleKind::Dense,
             DistanceOracle::Sparse(_) => OracleKind::Sparse,
-            DistanceOracle::Landmark(_) => OracleKind::Landmark,
         }
     }
 
-    /// The landmark tier, when this oracle has one. The routing kernel uses
-    /// this to decide whether bound-based candidate pruning is available.
-    pub fn landmark(&self) -> Option<&LandmarkOracle> {
-        match self {
-            DistanceOracle::Landmark(oracle) => Some(oracle),
-            _ => None,
-        }
-    }
-
-    /// The bounded row-cache tier behind this oracle, if it has one (the
-    /// sparse oracle itself, or the landmark oracle's exact tier).
+    /// The bounded row-cache oracle, when this is the sparse tier.
     pub fn row_tier(&self) -> Option<&BfsOracle> {
         match self {
             DistanceOracle::Dense(_) => None,
             DistanceOracle::Sparse(oracle) => Some(oracle),
-            DistanceOracle::Landmark(oracle) => Some(oracle.exact()),
         }
     }
 
@@ -630,7 +589,6 @@ impl DistanceOracle {
         match self {
             DistanceOracle::Dense(matrix) => matrix.node_count(),
             DistanceOracle::Sparse(oracle) => oracle.node_count(),
-            DistanceOracle::Landmark(oracle) => oracle.node_count(),
         }
     }
 
@@ -646,7 +604,6 @@ impl DistanceOracle {
         match self {
             DistanceOracle::Dense(matrix) => matrix.get(a, b),
             DistanceOracle::Sparse(oracle) => oracle.distance(a, b),
-            DistanceOracle::Landmark(oracle) => oracle.distance(a, b),
         }
     }
 
@@ -655,7 +612,6 @@ impl DistanceOracle {
         match self {
             DistanceOracle::Dense(matrix) => matrix.try_get(a, b),
             DistanceOracle::Sparse(oracle) => oracle.try_distance(a, b),
-            DistanceOracle::Landmark(oracle) => oracle.try_distance(a, b),
         }
     }
 
@@ -668,7 +624,6 @@ impl DistanceOracle {
         match self {
             DistanceOracle::Dense(matrix) => DistanceRow::Borrowed(matrix.row(a)),
             DistanceOracle::Sparse(oracle) => DistanceRow::Shared(oracle.distance_row(a)),
-            DistanceOracle::Landmark(oracle) => DistanceRow::Shared(oracle.distance_row(a)),
         }
     }
 
@@ -677,7 +632,6 @@ impl DistanceOracle {
         match self {
             DistanceOracle::Dense(matrix) => matrix.diameter(),
             DistanceOracle::Sparse(oracle) => oracle.diameter(),
-            DistanceOracle::Landmark(oracle) => oracle.diameter(),
         }
     }
 
@@ -686,7 +640,6 @@ impl DistanceOracle {
         match self {
             DistanceOracle::Dense(matrix) => matrix.is_connected(),
             DistanceOracle::Sparse(oracle) => oracle.is_connected(),
-            DistanceOracle::Landmark(oracle) => oracle.is_connected(),
         }
     }
 
@@ -699,7 +652,6 @@ impl DistanceOracle {
                 ..OracleStats::default()
             },
             DistanceOracle::Sparse(oracle) => oracle.stats(),
-            DistanceOracle::Landmark(oracle) => oracle.stats(),
         }
     }
 }
@@ -719,16 +671,17 @@ mod tests {
         );
         assert_eq!(
             OracleKind::auto_for(DENSE_ORACLE_MAX_NODES + 1),
-            OracleKind::Landmark
+            OracleKind::Sparse
         );
         assert_eq!(OracleKind::Dense.name(), "dense");
         assert_eq!(OracleKind::Sparse.name(), "sparse");
-        assert_eq!(OracleKind::Landmark.name(), "landmark");
 
+        // Every built-in device size, Osprey-433 included, is dense.
+        assert_eq!(OracleKind::auto_for(433), OracleKind::Dense);
         let small = generators::grid_graph(3, 3);
         assert_eq!(DistanceOracle::auto(&small).kind(), OracleKind::Dense);
-        let large = generators::grid_graph(9, 10);
-        assert_eq!(DistanceOracle::auto(&large).kind(), OracleKind::Landmark);
+        let large = generators::grid_graph(23, 23);
+        assert_eq!(DistanceOracle::auto(&large).kind(), OracleKind::Sparse);
     }
 
     #[test]
@@ -914,7 +867,6 @@ mod tests {
         for oracle in [
             DistanceOracle::build(&g, OracleKind::Dense),
             DistanceOracle::build(&g, OracleKind::Sparse),
-            DistanceOracle::build(&g, OracleKind::Landmark),
         ] {
             assert_eq!(oracle.try_distance(0, 3), Some(3));
             assert_eq!(oracle.try_distance(0, 4), None);
@@ -939,39 +891,35 @@ mod tests {
         let g = generators::cycle_graph(9);
         let dense = DistanceOracle::build(&g, OracleKind::Dense);
         let sparse = DistanceOracle::build(&g, OracleKind::Sparse);
-        let landmark = DistanceOracle::build(&g, OracleKind::Landmark);
         for a in g.nodes() {
             assert_eq!(&dense.distance_row(a)[..], &sparse.distance_row(a)[..]);
-            assert_eq!(&dense.distance_row(a)[..], &landmark.distance_row(a)[..]);
         }
         assert_eq!(dense.diameter(), sparse.diameter());
-        assert_eq!(dense.diameter(), landmark.diameter());
         assert_eq!(dense.node_count(), sparse.node_count());
-        assert!(landmark.landmark().is_some());
-        assert!(landmark.row_tier().is_some());
-        assert!(dense.landmark().is_none());
+        assert!(sparse.row_tier().is_some());
         assert!(dense.row_tier().is_none());
         dense.pin_rows(&[0]); // no-op, must not panic
     }
 
     #[test]
-    fn build_with_capacity_threads_through_both_cached_kinds() {
+    fn build_with_capacity_threads_through_the_sparse_kind() {
         let g = generators::grid_graph(3, 4);
-        for kind in [OracleKind::Sparse, OracleKind::Landmark] {
-            let oracle = DistanceOracle::build_with_capacity(&g, kind, Some(5));
-            assert_eq!(
-                oracle.row_tier().expect("cached kind").row_cache_capacity(),
-                5
-            );
-            let default = DistanceOracle::build_with_capacity(&g, kind, None);
-            assert_eq!(
-                default
-                    .row_tier()
-                    .expect("cached kind")
-                    .row_cache_capacity(),
-                default_row_capacity(g.node_count())
-            );
-        }
+        let oracle = DistanceOracle::build_with_capacity(&g, OracleKind::Sparse, Some(5));
+        assert_eq!(
+            oracle.row_tier().expect("cached kind").row_cache_capacity(),
+            5
+        );
+        let default = DistanceOracle::build_with_capacity(&g, OracleKind::Sparse, None);
+        assert_eq!(
+            default
+                .row_tier()
+                .expect("cached kind")
+                .row_cache_capacity(),
+            default_row_capacity(g.node_count())
+        );
+        // The dense matrix has no cache and ignores the capacity.
+        let dense = DistanceOracle::build_with_capacity(&g, OracleKind::Dense, Some(5));
+        assert!(dense.row_tier().is_none());
     }
 
     #[test]

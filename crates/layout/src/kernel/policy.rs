@@ -14,12 +14,9 @@
 //!
 //! Heterogeneous SWAP costs ride the same pipeline: a
 //! [`CouplerWeights`](qubikos_graph::CouplerWeights) multiplies each
-//! candidate's score (see [`swap_multiplier`]), both in the
-//! [`SwapScorer::prune_candidates`] bound pass and in the exact selection
-//! scan — the same float pipeline on both sides, so the scorer's
-//! pruned-score reuse stays bitwise sound under any weighting. Uniform
-//! weights multiply by exactly `1.0`, an IEEE-754 identity, which is why
-//! the pre-refactor routers' SWAP streams are reproduced bit-for-bit.
+//! candidate's score (see [`swap_multiplier`]) in the selection scan.
+//! Uniform weights skip the multiplication, which is why the pre-refactor
+//! routers' SWAP streams are reproduced bit-for-bit.
 
 use crate::kernel::{force_adjacent, FrontTracker, ProblemView, ScoreParams, SwapScorer};
 use crate::mapping::Mapping;
@@ -302,10 +299,9 @@ pub struct GreedyScratch {
 }
 
 /// The full multiplier of one candidate SWAP: its coupler weight times the
-/// larger of its endpoints' decay factors. Used verbatim on both the
-/// prune-bound side and the exact selection side so pruned-score reuse
-/// stays bitwise sound; under uniform weights it skips the (identity)
-/// multiplication and returns exactly the pre-refactor decay factor.
+/// larger of its endpoints' decay factors. Under uniform weights it skips
+/// the (identity) multiplication and returns exactly the pre-refactor decay
+/// factor.
 pub fn swap_multiplier(weights: &CouplerWeights, decay: &[f64], swap: (NodeId, NodeId)) -> f64 {
     let factor = decay[swap.0].max(decay[swap.1]);
     if weights.is_uniform() {
@@ -401,39 +397,11 @@ pub fn run_greedy_pass(
             !scratch.candidates.is_empty(),
             "front gates always have candidate swaps"
         );
-        // On landmark-backed devices, discard candidates whose bound-side
-        // score provably cannot reach the winner's tie band; the exact scan
-        // below then only pays for plausible candidates. A no-op on
-        // dense/sparse oracles, and bit-identical either way — the
-        // multiplied scores the bounds bracket are exactly the scores
-        // compared below.
-        {
-            let GreedyScratch {
-                scorer,
-                candidates,
-                decay,
-                ..
-            } = &mut *scratch;
-            let weights = policies.weights;
-            scorer.prune_candidates(candidates, arch, &params, |swap| {
-                swap_multiplier(weights, decay, swap)
-            });
-        }
         let mut best_score = f64::INFINITY;
         scratch.ties.clear();
-        for i in 0..scratch.candidates.len() {
-            let (pa, pb) = scratch.candidates[i];
-            // Reuse the multiplied score when the prune pass already
-            // computed it exactly (bitwise-identical float pipeline),
-            // sparing the rescan; candidates the bounds only bracketed pay
-            // the exact scan here.
-            let score = match scratch.scorer.pruned_score(i) {
-                Some(score) => score,
-                None => {
-                    swap_multiplier(policies.weights, &scratch.decay, (pa, pb))
-                        * scratch.scorer.swap_cost((pa, pb), arch, &params)
-                }
-            };
+        for &(pa, pb) in &scratch.candidates {
+            let score = swap_multiplier(policies.weights, &scratch.decay, (pa, pb))
+                * scratch.scorer.swap_cost((pa, pb), arch, &params);
             if score < best_score - 1e-12 {
                 best_score = score;
                 scratch.ties.clear();

@@ -22,14 +22,6 @@ use qubikos_circuit::{DagNodeId, DependencyDag};
 use qubikos_graph::{DistanceRow, NodeId};
 use std::sync::Arc;
 
-/// Slack added to the pruning threshold so floating-point noise between a
-/// bound-side and an exact-side score evaluation can never discard the true
-/// argmin or a member of SABRE's 1e-12 tie band. Distances are small
-/// integers and scores are O(10), so accumulated ulp error is far below
-/// 1e-9; 1e-6 leaves three orders of magnitude of headroom while still
-/// pruning everything meaningfully worse than the best upper bound.
-const PRUNE_MARGIN: f64 = 1e-6;
-
 /// Weighting of the extended-set (lookahead) term, mirroring
 /// [`SabreConfig`](crate::SabreConfig).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,13 +89,6 @@ pub struct SwapScorer {
     /// Physical qubits of the current front gates — the pin set forwarded
     /// to the oracle's row cache, remapped on every [`Self::apply`].
     pin_buf: Vec<NodeId>,
-    /// Per-candidate cost brackets for [`Self::prune_candidates`].
-    prune_bounds: Vec<(f64, f64)>,
-    /// Exact multiplied scores established by the last
-    /// [`Self::prune_candidates`], aligned with the surviving candidates
-    /// (`None` where some bound was inexact). Valid until the next
-    /// [`Self::apply`]/[`Self::prepare`].
-    pruned_scores: Vec<Option<f64>>,
 }
 
 impl SwapScorer {
@@ -141,7 +126,6 @@ impl SwapScorer {
             self.held_rows.resize(arch.num_qubits(), None);
         }
         self.use_rows = arch.oracle().row_tier().is_some();
-        self.pruned_scores.clear();
         self.entries.clear();
         self.front_len = front.len();
         self.front_sum = 0.0;
@@ -317,160 +301,10 @@ impl SwapScorer {
         self.front_sum as i64 + d_front
     }
 
-    /// The bracket `(lower, upper)` containing `entry`'s exact distance
-    /// under the hypothetical swap `(u, v)`: exact (and cheap) when the
-    /// fixed endpoint's row is held or still resident in the oracle's
-    /// row cache — front pinning keeps the per-decision working set warm
-    /// precisely so these peeks hit — and a landmark triangle-inequality
-    /// bound only for genuinely cold rows, where an O(landmarks) bound
-    /// beats a full BFS.
-    fn new_dist_bounds(
-        &mut self,
-        entry: Entry,
-        u: NodeId,
-        v: NodeId,
-        landmark: &qubikos_graph::LandmarkOracle,
-    ) -> (usize, usize) {
-        let a_moved = entry.phys_a == u || entry.phys_a == v;
-        let b_moved = entry.phys_b == u || entry.phys_b == v;
-        let (fixed, moved_to) = match (a_moved, b_moved) {
-            (true, true) | (false, false) => return (entry.dist, entry.dist),
-            (true, false) => (entry.phys_b, if entry.phys_a == u { v } else { u }),
-            (false, true) => (entry.phys_a, if entry.phys_b == u { v } else { u }),
-        };
-        if self.held_rows[fixed].is_none() {
-            if let Some(row) = landmark.exact().cached_row(fixed) {
-                self.held_rows[fixed] = Some(row);
-                self.held_list.push(fixed);
-            }
-        }
-        match &self.held_rows[fixed] {
-            Some(row) => {
-                let d = row[moved_to];
-                (d, d)
-            }
-            None => landmark.bounds(fixed, moved_to),
-        }
-    }
-
-    /// Discards candidates the landmark bounds prove cannot win, keeping
-    /// routing bit-identical to an unpruned scan.
-    ///
-    /// For every candidate the scorer brackets `multiplier(c) ×
-    /// swap_cost(c)` between a lower and an upper bound (exact held or
-    /// cache-resident rows where available, landmark triangle-inequality
-    /// bounds elsewhere),
-    /// then retains — in original order — exactly the candidates whose
-    /// lower bound is within [`PRUNE_MARGIN`] of the smallest upper bound.
-    ///
-    /// Why this can never change a routing decision:
-    ///
-    /// * The bracket is sound: landmark bounds contain the exact distance,
-    ///   and every weight/multiplier is non-negative, so the exact score of
-    ///   every candidate lies inside its bracket (up to ulp-level float
-    ///   noise, absorbed by the margin).
-    /// * A pruned candidate `c` satisfies `lower(c) > min_upper + margin ≥
-    ///   exact(best) + margin`, so `exact(c) > exact(best) + margin` —
-    ///   strictly worse than the winner by far more than SABRE's 1e-12 tie
-    ///   epsilon. The exact argmin and its entire tie band survive.
-    /// * Retention preserves candidate order, so first-minimum selection
-    ///   (t|ket⟩) and the tie-set contents fed to the seeded RNG (SABRE)
-    ///   are unchanged, leaving the RNG stream untouched.
-    ///
-    /// `multiplier` must be non-negative (SABRE's decay factors and the
-    /// constant 1 both are). A no-op unless the architecture's oracle has a
-    /// landmark tier. The surviving count is recorded on the oracle as
-    /// `exact_fallbacks` — these are the candidates that proceed to exact
-    /// scoring.
-    pub fn prune_candidates(
-        &mut self,
-        candidates: &mut Vec<(NodeId, NodeId)>,
-        arch: &Architecture,
-        params: &ScoreParams,
-        mut multiplier: impl FnMut((NodeId, NodeId)) -> f64,
-    ) {
-        self.pruned_scores.clear();
-        let Some(landmark) = arch.oracle().landmark() else {
-            return;
-        };
-        if candidates.len() > 1 {
-            self.prune_bounds.clear();
-            let mut min_upper = f64::INFINITY;
-            for &(u, v) in candidates.iter() {
-                self.mark.reset(self.entries.len());
-                let mut front_lo = 0i64;
-                let mut front_hi = 0i64;
-                let mut ext_lo = 0.0f64;
-                let mut ext_hi = 0.0f64;
-                for side in [u, v] {
-                    for i in 0..self.touch[side].len() {
-                        let idx = self.touch[side][i] as usize;
-                        if !self.mark.insert(idx) {
-                            continue;
-                        }
-                        let entry = self.entries[idx];
-                        let (lo, hi) = self.new_dist_bounds(entry, u, v, landmark);
-                        if entry.is_front {
-                            front_lo += lo as i64 - entry.dist as i64;
-                            front_hi += hi as i64 - entry.dist as i64;
-                        } else {
-                            ext_lo += entry.weight * (lo as f64 - entry.dist as f64);
-                            ext_hi += entry.weight * (hi as f64 - entry.dist as f64);
-                        }
-                    }
-                }
-                let cost = |d_front: i64, d_ext: f64| {
-                    let basic = (self.front_sum + d_front as f64) / self.front_len as f64;
-                    let lookahead = if self.ext_weight_sum == 0.0 {
-                        0.0
-                    } else {
-                        params.extended_set_weight * (self.ext_sum + d_ext) / self.ext_weight_sum
-                    };
-                    basic + lookahead
-                };
-                let m = multiplier((u, v));
-                debug_assert!(m >= 0.0, "score multipliers must be non-negative");
-                let bracket = (m * cost(front_lo, ext_lo), m * cost(front_hi, ext_hi));
-                min_upper = min_upper.min(bracket.1);
-                self.prune_bounds.push(bracket);
-            }
-            let threshold = min_upper + PRUNE_MARGIN;
-            let mut i = 0;
-            let bounds = &self.prune_bounds;
-            let scores = &mut self.pruned_scores;
-            candidates.retain(|_| {
-                let (lo, hi) = bounds[i];
-                i += 1;
-                let keep = lo <= threshold;
-                if keep {
-                    // A point bracket means every accumulated bound was
-                    // exact, so `lo` is bitwise the multiplied score the
-                    // exact scan would recompute — record it for reuse.
-                    scores.push((lo == hi).then_some(lo));
-                }
-                keep
-            });
-        }
-        landmark.record_exact_fallbacks(candidates.len() as u64);
-    }
-
-    /// The exact `multiplier × swap_cost` score the last
-    /// [`Self::prune_candidates`] established for the `index`-th *surviving*
-    /// candidate, when every distance bound it accumulated was exact (held
-    /// or cache-resident rows throughout). The value is bitwise identical
-    /// to recomputing the score — same accumulation order, same float ops —
-    /// so callers can skip the exact rescan without perturbing tie bands.
-    /// `None` when some bound was inexact or no prune ran; stale after the
-    /// next [`Self::apply`]/[`Self::prepare`].
-    pub fn pruned_score(&self, index: usize) -> Option<f64> {
-        self.pruned_scores.get(index).copied().flatten()
-    }
-
     /// Commits `swap` (already applied to the mapping by the caller): updates
     /// entry endpoints/distances, the running sums, and the per-qubit touch
     /// lists, in O(gates touching the swapped qubits).
     pub fn apply(&mut self, swap: (NodeId, NodeId), arch: &Architecture) {
-        self.pruned_scores.clear();
         let (u, v) = swap;
         let resolve = |p: NodeId| {
             if p == u {
@@ -703,22 +537,22 @@ mod tests {
         }
     }
 
-    /// The same fixture as [`setup`], but on a landmark-backed oracle so
-    /// the held-row and pruning paths are exercised.
-    fn setup_landmark() -> (Architecture, DependencyDag, Mapping) {
+    /// The same fixture as [`setup`], but on the sparse row-cache oracle so
+    /// the held-row and pinning paths are exercised.
+    fn setup_sparse() -> (Architecture, DependencyDag, Mapping) {
         let (dense, dag, mapping) = setup();
         let arch = Architecture::with_oracle(
             dense.name(),
             dense.coupling_graph().clone(),
-            qubikos_graph::OracleKind::Landmark,
+            qubikos_graph::OracleKind::Sparse,
         )
         .expect("connected");
         (arch, dag, mapping)
     }
 
     #[test]
-    fn held_row_scores_match_rescan_on_landmark_oracle() {
-        let (arch, dag, mut mapping) = setup_landmark();
+    fn held_row_scores_match_rescan_on_sparse_oracle() {
+        let (arch, dag, mut mapping) = setup_sparse();
         let front = [0, 1, 2];
         let extended = [3, 4];
         let params = ScoreParams {
@@ -738,7 +572,7 @@ mod tests {
         let stats = arch.oracle_stats();
         assert!(stats.rows_computed <= 12, "rows {}", stats.rows_computed);
         // The front qubits were pinned through the hint channel.
-        let tier = arch.oracle().row_tier().expect("landmark-backed");
+        let tier = arch.oracle().row_tier().expect("sparse tier");
         assert_eq!(tier.pinned_nodes(), 6);
         // Scores stay consistent across applied swaps (held rows are graph
         // data and survive mapping changes).
@@ -753,82 +587,6 @@ mod tests {
                 assert_eq!(fast, slow, "after {swap:?}, candidate {candidate:?}");
             }
         }
-    }
-
-    #[test]
-    fn pruning_keeps_the_exact_argmin_and_tie_band_in_order() {
-        let (arch, dag, mapping) = setup_landmark();
-        let front = [0, 1, 2];
-        let extended = [3, 4];
-        let params = ScoreParams {
-            extended_set_weight: 0.5,
-            lookahead_decay: None,
-        };
-        let mut scorer = SwapScorer::new();
-        scorer.prepare(&front, &extended, &dag, &mapping, &arch, &params);
-        let mut candidates = Vec::new();
-        scorer.candidates_into(&arch, &mut candidates);
-        let full = candidates.clone();
-        // Exact scores of the unpruned scan.
-        let exact: Vec<f64> = full
-            .iter()
-            .map(|&c| scorer.swap_cost(c, &arch, &params))
-            .collect();
-        let best = exact.iter().copied().fold(f64::INFINITY, f64::min);
-        let tie_band: Vec<(NodeId, NodeId)> = full
-            .iter()
-            .zip(&exact)
-            .filter(|&(_, &s)| (s - best).abs() <= 1e-12)
-            .map(|(&c, _)| c)
-            .collect();
-
-        scorer.prune_candidates(&mut candidates, &arch, &params, |_| 1.0);
-        assert!(!candidates.is_empty());
-        // Every tie-band member survives, in the original relative order.
-        let mut walk = candidates.iter();
-        for tie in &tie_band {
-            assert!(
-                walk.any(|c| c == tie),
-                "tie-band candidate {tie:?} was pruned or reordered"
-            );
-        }
-        // Surviving candidates are a subsequence of the full list.
-        let mut full_walk = full.iter();
-        for kept in &candidates {
-            assert!(full_walk.any(|c| c == kept), "order not preserved");
-        }
-        // The fallback counter saw the survivors. (The earlier exact scan
-        // left every endpoint's row held, so this prune used exact rows and
-        // no landmark queries — the tightest possible bounds.)
-        let stats = arch.oracle_stats();
-        assert_eq!(stats.exact_fallbacks, candidates.len() as u64);
-        assert_eq!(stats.landmark_queries, 0);
-
-        // On a cold-cache architecture (cloning resets the row cache) a
-        // fresh scorer can't upgrade every bound to an exact resident row,
-        // so the same prune must go through the landmark index — and still
-        // keep the whole tie band.
-        let cold = arch.clone();
-        assert_eq!(cold.oracle_stats().landmark_queries, 0);
-        let mut fresh = SwapScorer::new();
-        fresh.prepare(&front, &extended, &dag, &mapping, &cold, &params);
-        let mut fresh_candidates = full.clone();
-        fresh.prune_candidates(&mut fresh_candidates, &cold, &params, |_| 1.0);
-        assert!(cold.oracle_stats().landmark_queries > 0);
-        let mut walk = fresh_candidates.iter();
-        for tie in &tie_band {
-            assert!(walk.any(|c| c == tie), "landmark prune dropped {tie:?}");
-        }
-
-        // Pruning on a dense-oracle architecture is a no-op.
-        let (dense, dag_d, mapping_d) = setup();
-        let mut scorer_d = SwapScorer::new();
-        scorer_d.prepare(&front, &extended, &dag_d, &mapping_d, &dense, &params);
-        let mut dense_candidates = Vec::new();
-        scorer_d.candidates_into(&dense, &mut dense_candidates);
-        let before = dense_candidates.clone();
-        scorer_d.prune_candidates(&mut dense_candidates, &dense, &params, |_| 1.0);
-        assert_eq!(dense_candidates, before);
     }
 
     #[test]

@@ -75,27 +75,49 @@ fn golden_swap_counts_on_heavy_hex() {
 }
 
 /// The sparse oracle answers exactly the distances the dense matrix does, so
-/// forcing it onto the small fixture devices must reproduce every golden
-/// count bit-for-bit — the acceptance gate for swapping oracle
-/// implementations out from under the routers.
+/// forcing it onto the fixture devices must reproduce every golden count
+/// bit-for-bit — the acceptance gate for swapping oracle implementations out
+/// from under the routers. Osprey-433 is the largest built-in device and the
+/// one where the sparse tier's row cache is under the most pressure.
 #[test]
 fn golden_swap_counts_unchanged_under_sparse_oracle() {
+    use qubikos::queko::{generate_queko, QuekoConfig};
     use qubikos_graph::OracleKind;
-    /// (name, dense-oracle arch, circuit qubits, gates, seed, golden counts).
-    type Fixture = (&'static str, Architecture, usize, usize, u64, [usize; 4]);
-    let fixtures: [Fixture; 3] = [
-        ("line-8", devices::line(8), 6, 30, 42, [10, 16, 29, 25]),
-        ("grid-4x4", devices::grid(4, 4), 12, 60, 7, [16, 34, 48, 52]),
+    /// (name, dense-oracle arch, circuit, golden counts).
+    type Fixture = (&'static str, Architecture, Circuit, [usize; 4]);
+    let osprey = devices::osprey433();
+    let osprey_queko = generate_queko(
+        &osprey,
+        &QuekoConfig::new(5).with_density(0.05).with_seed(9),
+    )
+    .expect("generates");
+    let fixtures: [Fixture; 4] = [
+        (
+            "line-8",
+            devices::line(8),
+            random_circuit(6, 30, 42),
+            [10, 16, 29, 25],
+        ),
+        (
+            "grid-4x4",
+            devices::grid(4, 4),
+            random_circuit(12, 60, 7),
+            [16, 34, 48, 52],
+        ),
         (
             "rochester-53",
             devices::rochester53(),
-            20,
-            60,
-            3,
+            random_circuit(20, 60, 3),
             [54, 71, 107, 85],
         ),
+        (
+            "osprey-433",
+            osprey.clone(),
+            osprey_queko.circuit().clone(),
+            [2, 22, 4, 4],
+        ),
     ];
-    for (name, dense_arch, qubits, gates, seed, golden) in fixtures {
+    for (name, dense_arch, circuit, golden) in fixtures {
         assert_eq!(dense_arch.oracle_kind(), OracleKind::Dense);
         let sparse_arch = Architecture::with_oracle(
             dense_arch.name(),
@@ -103,48 +125,8 @@ fn golden_swap_counts_unchanged_under_sparse_oracle() {
             OracleKind::Sparse,
         )
         .expect("connected");
-        let circuit = random_circuit(qubits, gates, seed);
         check_fixture(name, &sparse_arch, &circuit, golden);
         assert!(sparse_arch.oracle_stats().rows_computed > 0);
-    }
-}
-
-/// The landmark-backed oracle adds bound-based candidate pruning on top of
-/// the exact tiers, but pruning only ever discards candidates provably
-/// outside the winner's tie band — so forcing it onto the small fixture
-/// devices must also reproduce every golden count bit-for-bit. This is the
-/// acceptance gate for the pruned candidate scan (and the CI smoke for the
-/// landmark tier).
-#[test]
-fn golden_swap_counts_unchanged_under_landmark_oracle() {
-    use qubikos_graph::OracleKind;
-    /// (name, dense-oracle arch, circuit qubits, gates, seed, golden counts).
-    type Fixture = (&'static str, Architecture, usize, usize, u64, [usize; 4]);
-    let fixtures: [Fixture; 3] = [
-        ("line-8", devices::line(8), 6, 30, 42, [10, 16, 29, 25]),
-        ("grid-4x4", devices::grid(4, 4), 12, 60, 7, [16, 34, 48, 52]),
-        (
-            "rochester-53",
-            devices::rochester53(),
-            20,
-            60,
-            3,
-            [54, 71, 107, 85],
-        ),
-    ];
-    for (name, dense_arch, qubits, gates, seed, golden) in fixtures {
-        let landmark_arch = Architecture::with_oracle(
-            dense_arch.name(),
-            dense_arch.coupling_graph().clone(),
-            OracleKind::Landmark,
-        )
-        .expect("connected");
-        let circuit = random_circuit(qubits, gates, seed);
-        check_fixture(name, &landmark_arch, &circuit, golden);
-        let stats = landmark_arch.oracle_stats();
-        assert!(stats.rows_computed > 0);
-        // The SABRE/tket scans actually exercised the pruning path.
-        assert!(stats.exact_fallbacks > 0, "{name}: pruning never ran");
     }
 }
 
@@ -153,8 +135,8 @@ fn golden_swap_counts_unchanged_under_landmark_oracle() {
 /// weights** forced on, and the resulting SWAP counts fixed as a fresh
 /// golden scenario. The uniform fixtures above stay untouched — this pins
 /// the weighted decision stream *next to* them, so a change to the weight
-/// hash, the `swap_multiplier` composition, or the pruned-score reuse under
-/// non-uniform weights fails here while the bit-identity fixtures keep
+/// hash or the `swap_multiplier` composition under non-uniform weights
+/// fails here while the bit-identity fixtures keep
 /// guarding the classic path. QMAP's A* ignores the weight axis (the spec
 /// canonicalizes it away), so its counts must equal the uniform goldens.
 #[test]
@@ -207,16 +189,16 @@ fn golden_swap_counts_under_fidelity_weights() {
 }
 
 /// Osprey-433 golden fixture: one small QUEKO instance routed by all four
-/// tools on the auto-selected (landmark-backed) oracle, exact SWAP counts
-/// pinned. Any change to landmark selection, bound pruning, pinned
-/// eviction, or held-row scoring that shifts a routing decision at scale
-/// fails here loudly.
+/// tools on the auto-selected dense oracle, exact SWAP counts pinned. The
+/// counts were taken when Osprey still routed through the landmark-backed
+/// sparse oracle, so they also pin that the move to the dense table changed
+/// no routing decision at scale.
 #[test]
 fn golden_swap_counts_on_osprey433_queko() {
     use qubikos::queko::{generate_queko, QuekoConfig};
     use qubikos_graph::OracleKind;
     let arch = devices::osprey433();
-    assert_eq!(arch.oracle_kind(), OracleKind::Landmark);
+    assert_eq!(arch.oracle_kind(), OracleKind::Dense);
     let queko = generate_queko(&arch, &QuekoConfig::new(5).with_density(0.05).with_seed(9))
         .expect("generates");
     check_fixture("osprey-433", &arch, queko.circuit(), [2, 22, 4, 4]);
@@ -281,6 +263,54 @@ fn golden_qmap_swap_streams_on_qubikos_instances() {
             (routed.swap_count(), got.as_str()),
             (swaps, digest),
             "{name} designed {designed}: qmap SWAP stream changed"
+        );
+    }
+}
+
+/// SWAP-stream fixtures for the three heuristic tools on Eagle-127 QUBIKOS
+/// instances: 400 two-qubit gates with 10 and 20 designed SWAPs, generator
+/// seed 1. The digests were taken while Eagle still routed through the
+/// landmark-backed sparse oracle with bound-pruned candidate scans, so they
+/// pin that moving the device onto the dense table left every SWAP — and
+/// every gate between SWAPs — where it was. The digest is the content hash
+/// of the routed circuit's QASM.
+#[test]
+fn golden_swap_streams_on_eagle127_qubikos() {
+    use qubikos::manifest::content_hash;
+    use qubikos::{generate, GeneratorConfig};
+    use qubikos_circuit::to_qasm;
+    /// (designed SWAPs, tool, golden SWAP count, golden QASM digest).
+    type Fixture = (usize, ToolKind, usize, &'static str);
+    let fixtures: [Fixture; 6] = [
+        (
+            10,
+            ToolKind::LightSabre,
+            270,
+            "47bc207694d1d3d40d6318071b2515af",
+        ),
+        (10, ToolKind::Tket, 463, "0f8b21a6f5ff85df1eabbf98a73d0cba"),
+        (10, ToolKind::MlQls, 434, "65e707e93f2b64f5fe03079fd335ea9a"),
+        (
+            20,
+            ToolKind::LightSabre,
+            433,
+            "9b2186cfafa564ac9c89d376a88bcd41",
+        ),
+        (20, ToolKind::Tket, 1077, "2ce80e3a1c56c61bcbef83bbe8df9a8e"),
+        (20, ToolKind::MlQls, 457, "1d5aa7dc957df468fdba162d3811d0a8"),
+    ];
+    let arch = devices::eagle127();
+    for (designed, tool, swaps, digest) in fixtures {
+        let instance =
+            generate(&arch, &GeneratorConfig::new(designed, 400).with_seed(1)).expect("generates");
+        let circuit = instance.circuit();
+        let routed = tool.build(TOOL_SEED).route(circuit, &arch).expect("fits");
+        validate_routing(circuit, &arch, &routed).expect("valid routing");
+        let got = content_hash(&to_qasm(&routed.physical_circuit));
+        assert_eq!(
+            (routed.swap_count(), got.as_str()),
+            (swaps, digest),
+            "eagle-127 designed {designed}: {tool} SWAP stream changed"
         );
     }
 }

@@ -1,18 +1,21 @@
-//! Routing-scale gates for the cached/landmark distance oracles (ISSUE 6
-//! and ISSUE 7 acceptance).
+//! Routing-scale gates for the sparse (cached-row) distance oracle.
+//!
+//! Every built-in device routes on the dense table by default; the sparse
+//! tier serves user-built graphs above the dense cutoff. These gates force
+//! it onto the two largest built-in devices through
+//! [`Architecture::with_oracle`], so the tier is exercised at the scale it
+//! exists for.
 //!
 //! Routes QUEKO instances on the 127-qubit Eagle heavy-hex device through
 //! all four routers and asserts — via per-route `oracle_stats` deltas —
 //! that no dense 127² distance matrix was ever materialized and that no
 //! single router thrashes the row cache: every router stays under the 8k
-//! row-recompute ceiling on its own, and the bound-pruning routers really
-//! exercise the landmark tier (landmark queries, exact fallbacks, pinned
-//! hits all observed). Also pins the oracle's memory shape on the
-//! 433-qubit Osprey lattice, compares Osprey's per-gate routing wall-clock
-//! against grid(4,4) at benchmark density, and checks that routing results
-//! are identical whether the shared architecture is queried from one
-//! thread or many (cache state is a performance artifact, never a
-//! correctness input).
+//! row-recompute ceiling on its own, and the scorer-based routers re-hit
+//! front-pinned rows. Also pins the oracle's memory shape on the 433-qubit
+//! Osprey lattice, compares Osprey's per-gate routing wall-clock against
+//! grid(4,4) at benchmark density, and checks that routing results are
+//! identical whether the shared architecture is queried from one thread or
+//! many (cache state is a performance artifact, never a correctness input).
 
 use std::time::Instant;
 
@@ -24,10 +27,20 @@ use qubikos_layout::{validate_routing, Router, SabreConfig, SabreRouter, ToolKin
 
 const TOOL_SEED: u64 = 11;
 
+/// `device` rebuilt on the sparse oracle with its default row capacity.
+fn sparse(device: Architecture) -> Architecture {
+    assert_eq!(device.oracle_kind(), OracleKind::Dense);
+    Architecture::with_oracle(
+        device.name(),
+        device.coupling_graph().clone(),
+        OracleKind::Sparse,
+    )
+    .expect("connected")
+}
+
 #[test]
 fn eagle127_queko_routes_through_all_four_routers_sparsely() {
-    let arch = devices::eagle127();
-    assert_eq!(arch.oracle_kind(), OracleKind::Landmark);
+    let arch = sparse(devices::eagle127());
     assert_eq!(arch.oracle_stats().rows_computed, 0);
 
     // Modest depth/density keep the (deliberately expensive) QMAP A* router
@@ -46,8 +59,8 @@ fn eagle127_queko_routes_through_all_four_routers_sparsely() {
         per_tool.push((tool, arch.oracle_stats().since(&before)));
     }
 
-    // A dense matrix holds all 127 rows resident; the exact row tier behind
-    // the landmark index must never hold more than its (64-slot) cache —
+    // A dense matrix holds all 127 rows resident; the sparse row tier must
+    // never hold more than its (64-slot) cache —
     // that bound is the "no dense 127² matrix" assertion. QUEKO circuits
     // are device-width, so placement alone makes every qubit a distance
     // source: what stays small is the *resident* row count, not the set of
@@ -83,28 +96,17 @@ fn eagle127_queko_routes_through_all_four_routers_sparsely() {
         );
     }
 
-    // The SwapScorer-based routers (SABRE family and tket) must actually
-    // drive the landmark tier: bound queries answered, surviving candidates
-    // recorded as exact fallbacks, and front-pinned rows re-hit in cache.
-    // Routed on a cold architecture each — on the shared (warm) one above,
-    // bound queries legitimately resolve as exact peeks of resident rows,
-    // so a warm route proves nothing about the landmark index.
+    // The SwapScorer-based routers (SABRE family and tket) must re-hit
+    // front-pinned rows in cache. Routed on a cold architecture each, so
+    // the hits come from this route's own pin set.
     for tool in [ToolKind::LightSabre, ToolKind::Tket] {
-        let cold = devices::eagle127();
+        let cold = sparse(devices::eagle127());
         let routed = tool
             .build(TOOL_SEED)
             .route(queko.circuit(), &cold)
             .expect("fits");
         validate_routing(queko.circuit(), &cold, &routed).expect("valid routing");
         let delta = cold.oracle_stats();
-        assert!(
-            delta.landmark_queries > 0,
-            "{tool}: pruning never consulted the landmark index"
-        );
-        assert!(
-            delta.exact_fallbacks > 0,
-            "{tool}: pruning never retained a candidate"
-        );
         assert!(
             delta.pinned_hits > 0,
             "{tool}: front pinning never re-hit a resident row"
@@ -114,8 +116,7 @@ fn eagle127_queko_routes_through_all_four_routers_sparsely() {
 
 #[test]
 fn osprey433_memory_stays_sublinear_in_n_squared() {
-    let arch = devices::osprey433();
-    assert_eq!(arch.oracle_kind(), OracleKind::Landmark);
+    let arch = sparse(devices::osprey433());
 
     // Backbone-only: the memory-shape assertions below are instance-
     // independent, and 433-qubit routing at real densities is covered by
@@ -128,32 +129,25 @@ fn osprey433_memory_stays_sublinear_in_n_squared() {
         .expect("fits");
     validate_routing(queko.circuit(), &arch, &routed).expect("valid routing");
 
-    // Peak exact-tier memory is capacity × n words and the landmark index
-    // adds L × n more; a dense matrix would be n × n. The cache bound is
-    // the structural guarantee.
+    // Peak sparse-tier memory is capacity × n words; a dense matrix would
+    // be n × n. The cache bound is the structural guarantee.
     let rows = arch
         .oracle()
         .row_tier()
         .expect("osprey-433 must route through a row-cached oracle");
-    let landmark_rows = arch
-        .oracle()
-        .landmark()
-        .expect("osprey-433 auto-selects the landmark oracle")
-        .index()
-        .landmark_count();
-    let cache_words = (rows.row_cache_capacity() + landmark_rows) * arch.num_qubits();
+    let cache_words = rows.row_cache_capacity() * arch.num_qubits();
     let dense_words = arch.num_qubits() * arch.num_qubits();
     assert!(cache_words * 2 < dense_words, "cache not sublinear in n²");
     assert!(rows.cached_rows() <= rows.row_cache_capacity());
     assert!(arch.oracle_stats().rows_computed > 0);
 }
 
-/// Osprey-433 at real density routes at grid-like per-gate cost: the
-/// landmark-pruned candidate scan plus front-pinned row caching keep the
-/// per-gate wall-clock of a 433-qubit QUEKO route within 5x of the same
-/// router on grid(4,4) — without them the cold-cache row fetches in
-/// placement and the scan over 504 couplers blow the budget by an order
-/// of magnitude (~12x measured before this fast path landed).
+/// Osprey-433 at real density routes at grid-like per-gate cost on the
+/// sparse oracle: held rows plus front-pinned row caching keep the per-gate
+/// wall-clock of a 433-qubit QUEKO route within 5x of the same router on
+/// grid(4,4) — without them the cold-cache row fetches in placement and
+/// the scan over 504 couplers blow the budget by an order of magnitude
+/// (~12x measured before the cache learned pinning).
 ///
 /// Instance pairing: osprey runs at the same density (0.05) the eagle-127
 /// acceptance test uses; the grid baseline runs *denser* (0.1) and deeper,
@@ -185,7 +179,7 @@ fn osprey433_routes_at_grid_like_per_gate_cost() {
         .expect("generates");
     let grid_ns = per_gate(&grid, grid_queko.circuit());
 
-    let osprey = devices::osprey433();
+    let osprey = sparse(devices::osprey433());
     let osprey_queko = generate_queko(
         &osprey,
         &QuekoConfig::new(5).with_density(0.05).with_seed(9),
@@ -195,18 +189,9 @@ fn osprey433_routes_at_grid_like_per_gate_cost() {
     let osprey_ns = per_gate(&osprey, osprey_queko.circuit());
     let delta = osprey.oracle_stats().since(&before);
 
-    // The per-route stats prove the fast path was really taken: bounds
-    // answered by the landmark index, a bounded number of exact fallbacks,
-    // pinned front rows re-hit in cache, and a row-recompute count far
-    // below the cold-cache regime.
-    assert!(
-        delta.landmark_queries > 0,
-        "osprey route never pruned via landmarks"
-    );
-    assert!(
-        delta.exact_fallbacks > 0,
-        "osprey route never fell back to exact scoring"
-    );
+    // The per-route stats prove the fast path was really taken: pinned
+    // front rows re-hit in cache, and a row-recompute count far below the
+    // cold-cache regime.
     assert!(
         delta.pinned_hits > 0,
         "osprey route never re-hit a pinned row"
@@ -228,7 +213,7 @@ fn osprey433_routes_at_grid_like_per_gate_cost() {
 /// exactly the SWAP counts sequential routing produces.
 #[test]
 fn shared_sparse_oracle_is_deterministic_across_thread_counts() {
-    let arch = devices::eagle127();
+    let arch = sparse(devices::eagle127());
     let circuits: Vec<_> = (0..2)
         .map(|seed| {
             generate_queko(
@@ -259,7 +244,7 @@ fn shared_sparse_oracle_is_deterministic_across_thread_counts() {
     // Warm, contended cache: all circuits in flight at once on one shared
     // architecture, twice, against a second instance to also cover the
     // fresh-clone path.
-    for arch in [&arch, &devices::eagle127()] {
+    for arch in [&arch, &sparse(devices::eagle127())] {
         let concurrent: Vec<Vec<usize>> = std::thread::scope(|scope| {
             let handles: Vec<_> = circuits
                 .iter()
