@@ -902,7 +902,9 @@ mod tests {
     }
 
     #[test]
-    fn build_with_capacity_threads_through_the_sparse_kind() {
+    fn build_with_capacity_threads_through_both_cached_kinds() {
+        // Sparse is the one row-cached kind left: the capacity must reach its
+        // cache, while the dense matrix, which has no cache, ignores it.
         let g = generators::grid_graph(3, 4);
         let oracle = DistanceOracle::build_with_capacity(&g, OracleKind::Sparse, Some(5));
         assert_eq!(
@@ -917,7 +919,6 @@ mod tests {
                 .row_cache_capacity(),
             default_row_capacity(g.node_count())
         );
-        // The dense matrix has no cache and ignores the capacity.
         let dense = DistanceOracle::build_with_capacity(&g, OracleKind::Dense, Some(5));
         assert!(dense.row_tier().is_none());
     }
