@@ -400,6 +400,36 @@ pub fn osprey433() -> Architecture {
 mod tests {
     use super::*;
 
+    /// Symmetry group sizes of every built-in device (what the exact
+    /// solver's root symmetry breaking folds by), each enumerated well
+    /// within the solver's search-node limit.
+    #[test]
+    fn built_in_device_automorphism_groups() {
+        for (arch, size) in [
+            (line(5), 2),
+            (grid(2, 3), 4),
+            (DeviceKind::Grid3x3.build(), 8),
+            (DeviceKind::Aspen4.build(), 4),
+            (DeviceKind::Sycamore54.build(), 2),
+            (DeviceKind::Rochester53.build(), 1),
+            (DeviceKind::Eagle127.build(), 2),
+            (DeviceKind::Osprey433.build(), 2),
+        ] {
+            let graph = arch.coupling_graph();
+            let group = qubikos_graph::automorphisms(graph, 1 << 16)
+                .unwrap_or_else(|| panic!("{arch}: group not enumerated"));
+            assert_eq!(group.len(), size, "{arch}");
+            let identity: Vec<usize> = graph.nodes().collect();
+            assert!(group.contains(&identity), "{arch}: identity missing");
+            for sigma in &group {
+                assert!(
+                    qubikos_graph::isomorphism::verify_embedding(graph, graph, sigma),
+                    "{arch}: {sigma:?} is not an edge-preserving bijection"
+                );
+            }
+        }
+    }
+
     #[test]
     fn line_and_grid() {
         assert_eq!(line(5).num_qubits(), 5);

@@ -26,7 +26,7 @@ use crate::store::{StoreError, SuiteStore};
 use qubikos::{generate_suite, verify_certificate, GenerateError, SuiteConfig};
 use qubikos_arch::{Architecture, DeviceKind};
 use qubikos_engine::{Engine, JobDeadline, JobKey, NullSink, ProgressSink, AUTO_THREADS};
-use qubikos_exact::{ExactConfig, ExactSolver};
+use qubikos_exact::{ExactConfig, ExactSolver, SEARCH_REVISION};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the optimality study.
@@ -58,10 +58,11 @@ impl OptimalityConfig {
     /// The paper's configuration (400 circuits per device) — slow.
     ///
     /// `exact_swap_limit` is 3: the rebuilt search core (in-place do/undo
-    /// state, transposition table, SWAP canonicalization, packing bound)
-    /// decides SWAP-3 instances within the same budget the naive DFS needed
-    /// for SWAP-2, so two thirds of the designed SWAP counts are confirmed
-    /// by independent search instead of one third.
+    /// state, transposition table, SWAP canonicalization, packing bound,
+    /// root symmetry breaking over the device's automorphisms) decides
+    /// SWAP-3 instances within the same budget the naive DFS needed for
+    /// SWAP-2, so two thirds of the designed SWAP counts are confirmed by
+    /// independent search instead of one third.
     pub fn paper() -> Self {
         OptimalityConfig {
             devices: vec![DeviceKind::Aspen4, DeviceKind::Grid3x3],
@@ -376,9 +377,10 @@ fn fold_outcomes(outcomes: &[PointOutcome]) -> OptimalityReport {
     fold.finish()
 }
 
-/// One cached verification outcome: the `results/optimality/<hash>.json`
-/// payload of the suite store. The exact-solver parameters ride along so an
-/// entry produced under a different budget or SWAP limit — which could have
+/// One cached verification outcome: the
+/// `results/optimality/<hash>-r<revision>.json` payload of the suite store
+/// ([`optimality_key`]). The exact-solver parameters ride along so an entry
+/// produced under a different budget or SWAP limit — which could have
 /// reached a different verdict — reads as a cache miss.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CachedVerification {
@@ -516,6 +518,16 @@ pub fn run_suite_optimality_partial(
     })
 }
 
+/// Cache key of a circuit's optimality verdict: the circuit's content hash
+/// qualified by [`SEARCH_REVISION`], because the cached per-query node
+/// counts and budget verdicts are facts about one revision of the search.
+/// An entry written by another revision (or by a build from before the
+/// revision was part of the key) is a plain miss — never a parse failure —
+/// and is re-verified.
+pub fn optimality_key(content_hash: &str) -> JobKey {
+    JobKey::new("optimality", format!("{content_hash}-r{SEARCH_REVISION}"))
+}
+
 /// Verifies one shard: cache lookups, engine verification of the misses,
 /// cache writes. Returns the per-circuit outcomes plus the verified/
 /// cache-hit counts, so a corrupt shard can be dropped wholesale before
@@ -529,7 +541,7 @@ fn optimality_shard(
     sink: &dyn ProgressSink,
 ) -> Result<(Vec<PointOutcome>, usize, usize), StoreError> {
     let records = store.shard_records(shard)?;
-    let key = |point_index: usize| JobKey::new("optimality", &records[point_index].content_hash);
+    let key = |point_index: usize| optimality_key(&records[point_index].content_hash);
 
     // Resolve the cache first: only misses are verified.
     let mut outcomes: Vec<Option<PointOutcome>> = (0..records.len())

@@ -14,7 +14,7 @@
 //! ├── ...
 //! └── results/                         # content-addressed result cache
 //!     ├── lightsabre/<circuit-hash>.json
-//!     └── optimality/<circuit-hash>.json
+//!     └── optimality/<circuit-hash>-r<search-revision>.json
 //! ```
 //!
 //! The QASM files are the interop boundary — the exact artifact handed to

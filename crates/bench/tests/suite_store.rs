@@ -8,9 +8,13 @@ use qubikos_arch::DeviceKind;
 use qubikos_bench::evaluation::{
     run_suite_evaluation, run_tool_evaluation, EvaluationConfig, SuiteEvalConfig, DEFAULT_TOOL_SEED,
 };
-use qubikos_bench::optimality::{run_optimality_study, run_suite_optimality, OptimalityConfig};
+use qubikos_bench::optimality::{
+    optimality_key, run_optimality_study, run_suite_optimality, CachedVerification,
+    OptimalityConfig,
+};
 use qubikos_bench::store::{export_suite, SuiteStore};
-use qubikos_exact::ExactConfig;
+use qubikos_engine::JobKey;
+use qubikos_exact::{ExactConfig, SEARCH_REVISION};
 use qubikos_layout::ToolKind;
 use std::path::PathBuf;
 
@@ -153,6 +157,75 @@ fn stored_optimality_matches_in_memory_and_caches() {
     tighter.exact.node_budget = 1_000;
     let recomputed = run_suite_optimality(&store, &tighter).expect("tighter study");
     assert_eq!(recomputed.verified, 4);
+}
+
+/// Cached node counts and budget verdicts are facts about one revision of
+/// the exact search. Entries another revision wrote — with the pre-revision
+/// key layout or an older revision's key — under otherwise identical
+/// parameters must read as plain misses (re-verified, never served, never
+/// quarantined as corrupt), so the stored study still matches the
+/// in-memory one.
+#[test]
+fn optimality_entries_of_another_search_revision_are_reverified() {
+    let dir = TempDir::new("optimality-revision");
+    let suite = SuiteConfig {
+        swap_counts: vec![1, 2],
+        circuits_per_count: 2,
+        two_qubit_gates: 14,
+        base_seed: 13,
+    };
+    let store = export_suite(&dir.0, DeviceKind::Grid3x3, &suite, 2).expect("export");
+    let config = OptimalityConfig {
+        devices: vec![DeviceKind::Grid3x3],
+        suite,
+        exact: ExactConfig {
+            max_swaps: 3,
+            node_budget: 10_000_000,
+        },
+        exact_swap_limit: 2,
+        exact_deadline_micros: None,
+        threads: 2,
+    };
+
+    // Plant a stale verdict for every circuit under both foreign keys.
+    let mut planted = 0;
+    for shard in 0..store.shard_count() {
+        for record in store.shard_records(shard).expect("records") {
+            let hash = &record.content_hash;
+            let stale = CachedVerification {
+                circuit_hash: hash.clone(),
+                max_swaps: config.exact.max_swaps,
+                node_budget: config.exact.node_budget,
+                exact_swap_limit: config.exact_swap_limit,
+                verdict: "exact-budget-exceeded".to_string(),
+                queries: vec![(1, config.exact.node_budget)],
+                wall_micros: 1,
+            };
+            for key in [
+                JobKey::new("optimality", hash.as_str()),
+                JobKey::new("optimality", format!("{hash}-r{}", SEARCH_REVISION - 1)),
+            ] {
+                assert_ne!(key, optimality_key(hash));
+                store.write_cached(&key, &stale).expect("plant stale entry");
+            }
+            planted += 1;
+        }
+    }
+    assert_eq!(planted, 4);
+
+    let in_memory = run_optimality_study(&config).expect("in-memory study");
+    let first = run_suite_optimality(&store, &config).expect("first suite study");
+    assert_eq!(first.cache_hits, 0, "a stale revision must not answer");
+    assert_eq!(first.verified, 4, "every circuit is re-verified");
+    assert_eq!(first.report, in_memory, "stored study must match in-memory");
+    assert_eq!(store.cache_stats().corrupt_entries, 0);
+    assert_eq!(first.report.exact_budget_exceeded, 0);
+
+    // The re-verified entries, under the current revision, now answer.
+    let second = run_suite_optimality(&store, &config).expect("second suite study");
+    assert_eq!(second.cache_hits, 4);
+    assert_eq!(second.report, in_memory);
+    assert_eq!(store.cache_stats().corrupt_entries, 0);
 }
 
 /// The evaluation and optimality caches share the suite but use disjoint

@@ -13,9 +13,10 @@
 //! node budget and reports whether its answer is proven or was cut short.
 //!
 //! The search core runs on a single in-place state with an undo journal, a
-//! Zobrist-hashed transposition table, canonicalized SWAP sequences, and a
-//! packing lower bound (see [`solver`] for the architecture and the
-//! soundness arguments); the naive pre-refactor DFS is preserved in
+//! Zobrist-hashed transposition table, canonicalized SWAP sequences, a
+//! packing lower bound, and root symmetry breaking over the device's
+//! automorphisms (see [`solver`] for the architecture and the soundness
+//! arguments); the naive pre-refactor DFS is preserved in
 //! [`solver::reference`] as the differential-testing and benchmarking
 //! baseline.
 //!
@@ -41,4 +42,6 @@ pub mod lower_bound;
 pub mod solver;
 
 pub use lower_bound::{embedding_lower_bound, swap_lower_bound};
-pub use solver::{ExactConfig, ExactResult, ExactSolver, QueryOutcome, QueryStats};
+pub use solver::{
+    ExactConfig, ExactResult, ExactSolver, QueryOutcome, QueryStats, SEARCH_REVISION,
+};

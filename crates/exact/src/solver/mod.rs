@@ -25,7 +25,8 @@
 //! (no per-branch clones), deduplicates states through the Zobrist-hashed
 //! transposition table in [`dedup`], canonicalizes SWAP sequences (no
 //! immediate reversals; consecutive independent SWAPs in coupler-index
-//! order), and prunes with the packing lower bound in [`prune`]. The
+//! order), prunes with the packing lower bound in [`prune`], and breaks the
+//! device's symmetry at the root. The
 //! [`DependencyDag`] and all scratch are built **once per
 //! [`ExactSolver::solve`]** and shared by every deepening iteration — the
 //! transposition table included, since "state `S` cannot finish with `s`
@@ -61,6 +62,26 @@
 //! *unrestricted* entry is safe from any context: it says no solution
 //! exists from that state at all, which a fortiori covers the restricted
 //! search.
+//!
+//! # Root symmetry breaking
+//!
+//! At the root nothing is placed, so the state is fixed by every
+//! automorphism `σ` of the coupling graph, and `σ` applied to a whole
+//! solution (every placement location and every SWAP coupler) is again a
+//! solution with the same SWAP count: `σ` maps couplers to couplers. The
+//! root's only moves place both qubits of a ready gate on a directed
+//! coupler `(la, lb)`; choosing `σ` that maps `(la, lb)` to the
+//! smallest-index directed coupler of its orbit turns any solution into one
+//! whose first move is an orbit representative. So the root tries only the
+//! representatives, for every ready gate — one first placement per orbit.
+//!
+//! Every node below the root has a placed qubit (a non-empty undo journal)
+//! and is searched exactly as before, so each transposition entry still
+//! states "no solution from this state" and keeps its meaning, the root's
+//! own entry included (the filtered root is refuted only if the full root
+//! is). The group comes from [`qubikos_graph::automorphisms`]; a device
+//! whose group does not enumerate within a fixed search-node limit gets the
+//! trivial group, which is exactly the unfiltered search.
 
 pub mod reference;
 
@@ -73,11 +94,24 @@ use dedup::{TranspositionTable, ZobristKeys};
 use prune::{exceeds_swap_budget, PruneScratch};
 use qubikos_arch::Architecture;
 use qubikos_circuit::{Circuit, DependencyDag};
-use qubikos_graph::Edge;
+use qubikos_graph::{automorphisms, Edge, NodeId};
 use serde::{Deserialize, Serialize};
 use state::{SearchState, UNPLACED};
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::time::Instant;
+
+/// Revision of the search's node-count behaviour. Bumped whenever a change
+/// moves the golden node counts (`tests/golden_exact.rs`), so caches of
+/// per-query node counts and budget verdicts — the suite store's
+/// optimality entries — can tell a result of the current search from one
+/// of an older search.
+pub const SEARCH_REVISION: u32 = 2;
+
+/// Search-node cap of the device automorphism enumeration. A device whose
+/// group needs more is searched without root symmetry breaking; every
+/// built-in device needs fewer than 8,000.
+const AUTOMORPHISM_NODE_LIMIT: u64 = 1 << 16;
 
 thread_local! {
     /// Number of search-core constructions (hence [`DependencyDag`] builds)
@@ -302,6 +336,10 @@ struct SearchCore<'a> {
     arch: &'a Architecture,
     dag: DependencyDag,
     couplers: Vec<Edge>,
+    /// Per directed coupler `2 * ci + dir` (`dir` 0 is `(u, v)`, 1 is
+    /// `(v, u)`): whether it has the smallest index in its orbit under the
+    /// device's automorphism group. Consulted only at the root (module docs).
+    root_representative: Vec<bool>,
     keys: ZobristKeys,
     tt: TranspositionTable,
     state: SearchState,
@@ -323,6 +361,19 @@ impl<'a> SearchCore<'a> {
         budget: u64,
         deadline: Option<Instant>,
     ) -> Self {
+        let group = automorphisms(arch.coupling_graph(), AUTOMORPHISM_NODE_LIMIT);
+        Self::with_symmetry(circuit, arch, budget, deadline, group.as_deref())
+    }
+
+    /// [`new`](Self::new) with an explicit automorphism group; `None` is the
+    /// trivial group (no symmetry breaking).
+    fn with_symmetry(
+        circuit: &Circuit,
+        arch: &'a Architecture,
+        budget: u64,
+        deadline: Option<Instant>,
+        group: Option<&[Vec<NodeId>]>,
+    ) -> Self {
         let dag = DependencyDag::from_circuit(circuit);
         DAG_BUILDS.with(|c| c.set(c.get() + 1));
         let num_program = dag
@@ -332,6 +383,7 @@ impl<'a> SearchCore<'a> {
             .max()
             .unwrap_or(0);
         let couplers: Vec<Edge> = arch.couplers().collect();
+        let root_representative = orbit_representatives(&couplers, group);
         let keys = ZobristKeys::new(arch.num_qubits(), couplers.len(), num_program, dag.len());
         let state = SearchState::new(&dag, arch.num_qubits(), num_program);
         let scratch = PruneScratch::new(num_program);
@@ -339,6 +391,7 @@ impl<'a> SearchCore<'a> {
             arch,
             dag,
             couplers,
+            root_representative,
             keys,
             tt: TranspositionTable::new(),
             state,
@@ -449,9 +502,17 @@ impl<'a> SearchCore<'a> {
                     }
                 }
                 (true, true) => {
+                    // Nothing is placed only at the root; there one
+                    // placement per coupler orbit suffices (module docs).
+                    let at_root = self.state.mark() == 0;
                     for ci in 0..self.couplers.len() {
                         let edge = self.couplers[ci];
-                        for (la, lb) in [(edge.u, edge.v), (edge.v, edge.u)] {
+                        for (dir, (la, lb)) in
+                            [(edge.u, edge.v), (edge.v, edge.u)].into_iter().enumerate()
+                        {
+                            if at_root && !self.root_representative[2 * ci + dir] {
+                                continue;
+                            }
                             if self.state.occupant(la) != UNPLACED
                                 || self.state.occupant(lb) != UNPLACED
                             {
@@ -581,6 +642,42 @@ impl<'a> SearchCore<'a> {
     }
 }
 
+/// Marks, per directed coupler `2 * ci + dir`, whether it has the smallest
+/// index in its orbit under `group` (`None`: the trivial group, every
+/// directed coupler its own orbit). Scanning in index order, the first
+/// unmarked coupler of each orbit is its minimum; applying every group
+/// element to it clears the rest of the orbit, since the group is closed.
+fn orbit_representatives(couplers: &[Edge], group: Option<&[Vec<NodeId>]>) -> Vec<bool> {
+    let mut representative = vec![true; 2 * couplers.len()];
+    let Some(group) = group.filter(|group| group.len() > 1) else {
+        return representative;
+    };
+    let directed = |d: usize| {
+        let edge = couplers[d / 2];
+        if d % 2 == 0 {
+            (edge.u, edge.v)
+        } else {
+            (edge.v, edge.u)
+        }
+    };
+    let index: HashMap<(NodeId, NodeId), usize> = (0..representative.len())
+        .map(|d| (directed(d), d))
+        .collect();
+    for d in 0..representative.len() {
+        if !representative[d] {
+            continue;
+        }
+        let (a, b) = directed(d);
+        for sigma in group {
+            let image = index[&(sigma[a], sigma[b])];
+            if image != d {
+                representative[image] = false;
+            }
+        }
+    }
+    representative
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -691,14 +788,14 @@ mod tests {
     /// exact sum of the per-query counts.
     #[test]
     fn budget_exhaustion_reports_exact_node_counts() {
-        let budget = 8u64;
+        let budget = 4u64;
         let capped = ExactSolver::new(ExactConfig {
             max_swaps: 4,
             node_budget: budget,
         });
         let arch = devices::line(3);
         // Two serialised triangles: the k = 1 refutation alone needs more
-        // than 8 nodes, so the first query exhausts the budget mid-deepening.
+        // than 4 nodes, so the first query exhausts the budget mid-deepening.
         let circuit = Circuit::from_gates(
             3,
             [
@@ -796,6 +893,96 @@ mod tests {
         assert_eq!(with.optimal_swaps, without.optimal_swaps);
         assert_eq!(with.proven, without.proven);
         assert_eq!(with.nodes_explored, without.nodes_explored);
+    }
+
+    /// Deepens `k = 0, 1, ...` on a core with an explicit automorphism
+    /// group; returns the first feasible `k` and the total node count.
+    fn deepen(
+        circuit: &Circuit,
+        arch: &Architecture,
+        group: Option<&[Vec<NodeId>]>,
+    ) -> (Option<usize>, u64) {
+        let mut core = SearchCore::with_symmetry(circuit, arch, 5_000_000, None, group);
+        let mut nodes = 0;
+        for k in 0..=4 {
+            let feasibility = core.feasible_with(k);
+            nodes += core.nodes;
+            match feasibility {
+                Feasibility::Feasible => return (Some(k), nodes),
+                Feasibility::Infeasible => {}
+                Feasibility::Unknown => panic!("budget exhausted"),
+            }
+        }
+        (None, nodes)
+    }
+
+    #[test]
+    fn one_root_placement_per_directed_coupler_orbit() {
+        let arch = devices::grid(3, 3);
+        let couplers: Vec<Edge> = arch.couplers().collect();
+        let group = automorphisms(arch.coupling_graph(), AUTOMORPHISM_NODE_LIMIT);
+        // The 24 directed couplers of the 3x3 grid fall into four orbits:
+        // corner->side, side->corner, side->centre, centre->side.
+        let representatives = orbit_representatives(&couplers, group.as_deref());
+        assert_eq!(representatives.iter().filter(|&&r| r).count(), 4);
+        // The trivial group keeps every directed coupler.
+        let all = orbit_representatives(&couplers, None);
+        assert!(all.len() == 24 && all.iter().all(|&r| r));
+        let identity = vec![(0..9).collect::<Vec<_>>()];
+        assert_eq!(orbit_representatives(&couplers, Some(&identity)), all);
+    }
+
+    #[test]
+    fn root_symmetry_breaking_keeps_every_answer() {
+        let star: Vec<Gate> = (1..=5).map(|i| Gate::cx(0, i)).collect();
+        let triangles = [
+            Gate::cx(0, 1),
+            Gate::cx(1, 2),
+            Gate::cx(0, 2),
+            Gate::cx(0, 1),
+            Gate::cx(1, 2),
+            Gate::cx(0, 2),
+        ];
+        let cases = [
+            (devices::grid(3, 3), Circuit::from_gates(6, star)),
+            (devices::line(4), Circuit::from_gates(3, triangles)),
+            (devices::grid(2, 3), Circuit::from_gates(3, triangles)),
+        ];
+        for (arch, circuit) in &cases {
+            let group = automorphisms(arch.coupling_graph(), AUTOMORPHISM_NODE_LIMIT);
+            assert!(group.as_ref().is_some_and(|g| g.len() > 1), "{arch}");
+            let (broken, broken_nodes) = deepen(circuit, arch, group.as_deref());
+            let (full, full_nodes) = deepen(circuit, arch, None);
+            assert_eq!(broken, full, "{arch}: answer changed");
+            assert!(
+                broken_nodes < full_nodes,
+                "{arch}: {broken_nodes} >= {full_nodes}"
+            );
+        }
+    }
+
+    /// A device whose group does not enumerate within the node limit is
+    /// searched exactly as without symmetry breaking — node for node.
+    #[test]
+    fn group_beyond_the_limit_falls_back_to_the_unfiltered_search() {
+        let k8 = qubikos_graph::generators::complete_graph(8);
+        assert_eq!(automorphisms(&k8, AUTOMORPHISM_NODE_LIMIT), None);
+        let arch = Architecture::new("k8", k8).expect("connected");
+        let circuit = Circuit::from_gates(
+            5,
+            [
+                Gate::cx(0, 1),
+                Gate::cx(2, 3),
+                Gate::cx(1, 4),
+                Gate::cx(0, 3),
+                Gate::cx(2, 4),
+            ],
+        );
+        let result = solver().solve(&circuit, &arch);
+        let (full, full_nodes) = deepen(&circuit, &arch, None);
+        assert_eq!(result.optimal_swaps, full);
+        assert!(result.proven);
+        assert_eq!(result.nodes_explored, full_nodes);
     }
 
     #[test]

@@ -207,6 +207,127 @@ pub fn find_subgraph_embedding(pattern: &Graph, target: &Graph) -> Option<Vec<No
     Vf2Matcher::new(pattern, target).find_embedding()
 }
 
+/// Every automorphism of `graph`, as maps `sigma[node] == image`, the
+/// identity included; `None` when enumerating them would take more than
+/// `node_limit` search nodes.
+///
+/// A backtracking search assigns images in BFS vertex order (one BFS per
+/// connected component). A candidate image must be unused, have the same
+/// degree, be adjacent to the images of every already-mapped neighbour (it
+/// is drawn from the neighbours of its BFS parent's image), and have
+/// exactly as many already-mapped neighbours as the vertex itself — so a
+/// complete map preserves edges *and* non-edges. The group of every
+/// built-in device enumerates in well under a thousand nodes except
+/// Osprey-433 (about seven thousand); highly symmetric graphs such as
+/// large cliques hit any practical limit.
+///
+/// # Example
+///
+/// ```
+/// use qubikos_graph::{automorphisms, generators};
+///
+/// let square = generators::cycle_graph(4);
+/// let group = automorphisms(&square, 1 << 16).expect("small group");
+/// assert_eq!(group.len(), 8); // the dihedral group of the square
+/// ```
+pub fn automorphisms(graph: &Graph, node_limit: u64) -> Option<Vec<Vec<NodeId>>> {
+    const UNMAPPED: NodeId = usize::MAX;
+    let n = graph.node_count();
+    if n == 0 {
+        return Some(vec![Vec::new()]);
+    }
+    // BFS order, each node's BFS parent (whose image bounds the node's
+    // candidates), and per position the neighbours ordered earlier.
+    let mut order = Vec::with_capacity(n);
+    let mut parent = vec![None; n];
+    let mut seen = vec![false; n];
+    for start in graph.nodes() {
+        if seen[start] {
+            continue;
+        }
+        seen[start] = true;
+        let mut head = order.len();
+        order.push(start);
+        while head < order.len() {
+            let u = order[head];
+            head += 1;
+            for &v in graph.neighbors(u) {
+                if !seen[v] {
+                    seen[v] = true;
+                    parent[v] = Some(u);
+                    order.push(v);
+                }
+            }
+        }
+    }
+    let mut rank = vec![0; n];
+    for (i, &v) in order.iter().enumerate() {
+        rank[v] = i;
+    }
+    let earlier: Vec<Vec<NodeId>> = order
+        .iter()
+        .map(|&v| {
+            graph
+                .neighbors(v)
+                .iter()
+                .copied()
+                .filter(|&w| rank[w] < rank[v])
+                .collect()
+        })
+        .collect();
+
+    let mut image = vec![UNMAPPED; n];
+    let mut used = vec![false; n];
+    let mut cursor = vec![0usize; n];
+    let mut group = Vec::new();
+    let mut nodes = 0u64;
+    let mut depth = 0usize;
+    loop {
+        let p = order[depth];
+        let candidates = parent[p].map(|q| graph.neighbors(image[q]));
+        let len = candidates.map_or(n, <[NodeId]>::len);
+        let mut next = None;
+        while cursor[depth] < len {
+            let c = candidates.map_or(cursor[depth], |cs| cs[cursor[depth]]);
+            cursor[depth] += 1;
+            let fits = !used[c]
+                && graph.degree(c) == graph.degree(p)
+                && earlier[depth].iter().all(|&w| graph.has_edge(c, image[w]))
+                && graph.neighbors(c).iter().filter(|&&w| used[w]).count() == earlier[depth].len();
+            if fits {
+                next = Some(c);
+                break;
+            }
+        }
+        match next {
+            Some(c) => {
+                if nodes == node_limit {
+                    return None;
+                }
+                nodes += 1;
+                image[p] = c;
+                if depth + 1 == n {
+                    group.push(image.clone());
+                    image[p] = UNMAPPED;
+                } else {
+                    used[c] = true;
+                    depth += 1;
+                    cursor[depth] = 0;
+                }
+            }
+            None => {
+                if depth == 0 {
+                    return Some(group);
+                }
+                depth -= 1;
+                let q = order[depth];
+                used[image[q]] = false;
+                image[q] = UNMAPPED;
+            }
+        }
+    }
+}
+
 /// Checks that `mapping` is a valid monomorphism from `pattern` into `target`.
 ///
 /// Used by tests and by callers that obtained an embedding from elsewhere
@@ -314,6 +435,60 @@ mod tests {
         assert!(!verify_embedding(&pattern, &target, &[0, 2, 1])); // breaks an edge
         assert!(!verify_embedding(&pattern, &target, &[0, 1])); // wrong length
         assert!(verify_embedding(&pattern, &target, &[0, 1, 2]));
+    }
+
+    /// Every map is an edge-preserving bijection, the identity is among
+    /// them, and no map repeats.
+    fn assert_is_group_of(graph: &Graph, group: &[Vec<NodeId>]) {
+        let n = graph.node_count();
+        let identity: Vec<NodeId> = (0..n).collect();
+        assert!(group.contains(&identity), "identity missing");
+        for sigma in group {
+            assert!(verify_embedding(graph, graph, sigma), "{sigma:?}");
+        }
+        let mut distinct = group.to_vec();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), group.len(), "duplicate automorphism");
+    }
+
+    #[test]
+    fn automorphism_group_sizes_of_small_topologies() {
+        for (graph, size) in [
+            (generators::path_graph(5), 2),
+            (generators::grid_graph(3, 3), 8),
+            (generators::grid_graph(2, 3), 4),
+            (generators::cycle_graph(6), 12),
+            (generators::star_graph(5), 24),
+            (generators::complete_graph(4), 24),
+            (generators::path_graph(1), 1),
+        ] {
+            let group = automorphisms(&graph, 1 << 16).expect("within the limit");
+            assert_eq!(group.len(), size, "{graph:?}");
+            assert_is_group_of(&graph, &group);
+        }
+    }
+
+    #[test]
+    fn automorphisms_cover_disconnected_graphs() {
+        // Two disjoint edges plus an isolated node: swap within each edge
+        // and swap the edges, 2 * 2 * 2 = 8 maps; the isolated node is fixed.
+        let graph = Graph::from_edges(5, [(0, 1), (2, 3)]);
+        let group = automorphisms(&graph, 1 << 16).expect("within the limit");
+        assert_eq!(group.len(), 8);
+        assert_is_group_of(&graph, &group);
+        assert!(group.iter().all(|sigma| sigma[4] == 4));
+        assert_eq!(automorphisms(&Graph::new(), 1), Some(vec![Vec::new()]));
+    }
+
+    #[test]
+    fn automorphisms_respect_the_node_limit() {
+        let k8 = generators::complete_graph(8);
+        assert_eq!(automorphisms(&k8, 100), None);
+        // 8! maps need far more than 2^16 search nodes.
+        assert_eq!(automorphisms(&k8, 1 << 16), None);
+        let k5 = generators::complete_graph(5);
+        assert_eq!(automorphisms(&k5, 1 << 16).map(|g| g.len()), Some(120));
     }
 
     #[test]

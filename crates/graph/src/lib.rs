@@ -18,7 +18,9 @@
 //!   (graphs above 512 nodes), one exact-distance query API.
 //! * [`isomorphism`] — VF2-style subgraph monomorphism, used both to check
 //!   that QUBIKOS interaction graphs cannot be embedded into the coupling
-//!   graph and to implement QUEKO-style initial placement.
+//!   graph and to implement QUEKO-style initial placement, plus the
+//!   automorphism enumeration behind the exact solver's root symmetry
+//!   breaking.
 //! * [`weights`] — per-coupler SWAP-cost weights ([`CouplerWeights`]):
 //!   uniform today, fidelity-derived heterogeneous costs as a scenario axis,
 //!   threaded through the routing kernel's score multipliers.
@@ -50,7 +52,7 @@ pub mod weights;
 pub use csr::CsrGraph;
 pub use distance::DistanceMatrix;
 pub use graph::{Edge, Graph, NodeId};
-pub use isomorphism::{find_subgraph_embedding, is_subgraph_isomorphic, Vf2Matcher};
+pub use isomorphism::{automorphisms, find_subgraph_embedding, is_subgraph_isomorphic, Vf2Matcher};
 pub use oracle::{
     default_row_capacity, BfsOracle, DistanceOracle, DistanceRow, OracleKind, OracleStats,
     DENSE_ORACLE_MAX_NODES, SPARSE_ROW_CACHE_CAPACITY,
