@@ -637,7 +637,7 @@ fn matrix_shard(
         .collect();
 
     if !misses.is_empty() {
-        let loaded = store.load_shard(shard)?;
+        let loaded = store.load_shard_on(shard, config.threads, sink)?;
         let engine = Engine::new(config.threads).with_base_seed(config.tool_seed);
         let routed: Vec<usize> = engine
             .run_values(

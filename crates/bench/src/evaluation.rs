@@ -379,7 +379,8 @@ pub fn run_suite_evaluation_partial(
 }
 
 /// Evaluates one shard: cache lookups, engine routing of the misses, cache
-/// writes. Returns `(tool_index, designed SWAP count, inserted SWAPs)` per
+/// writes. A shard with misses is first loaded and verified instance by
+/// instance on the engine's workers ([`SuiteStore::load_shard_on`]). Returns `(tool_index, designed SWAP count, inserted SWAPs)` per
 /// (tool, instance) pair plus the routed/cache-hit counts — everything the
 /// caller's fold needs, so a corrupt shard can be dropped wholesale before
 /// anything is folded.
@@ -427,7 +428,7 @@ fn eval_shard(
         // from inside its job: a run killed at 90% of a large corpus has
         // already banked 90% of its work (`write_cached` is
         // rename-atomic, so a kill mid-write costs only that one entry).
-        let loaded = store.load_shard(shard)?;
+        let loaded = store.load_shard_on(shard, config.threads, sink)?;
         let engine = Engine::new(config.threads).with_base_seed(config.tool_seed);
         let routed: Vec<usize> = engine
             .run_values(

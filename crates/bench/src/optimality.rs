@@ -574,7 +574,7 @@ fn optimality_shard(
         // verdict is persisted from inside its job so an interrupted
         // run resumes where it stopped (`write_cached` is
         // rename-atomic; a kill mid-write costs only that one entry).
-        let points = store.load_shard(shard)?;
+        let points = store.load_shard_on(shard, config.threads, sink)?;
         let mut engine = Engine::new(config.threads).with_base_seed(base_seed);
         if let Some(limit) = config.exact_deadline() {
             engine = engine.with_job_deadline(limit);

@@ -598,6 +598,19 @@ fn write_ledger(
     fs.write_atomic(path, &json, fs.durable)
 }
 
+/// The JSON metadata sidecar written beside each instance's QASM file for
+/// external tools. Fields serialize in declaration order.
+#[derive(Serialize)]
+struct Sidecar {
+    architecture: String,
+    optimal_swaps: usize,
+    two_qubit_gates: usize,
+    seed: u64,
+    content_hash: String,
+    /// The reference solution's initial mapping, program → physical.
+    optimal_initial_mapping: Vec<usize>,
+}
+
 /// Per-store shard-residency bookkeeping: how many shards of
 /// `ExperimentPoint`s are materialized right now, and the high-water mark.
 /// This is what lets tests *assert* the streaming pipelines' flat-memory
@@ -807,17 +820,23 @@ impl SuiteStore {
                         seed,
                         benchmark,
                     };
-                    let record = InstanceRecord::describe(device, &point);
+                    // One emission serves both the file and its hash.
+                    let qasm = to_qasm(point.benchmark.circuit());
+                    let record = InstanceRecord::describe_qasm(device, &point, &qasm);
                     let qasm_path = root.join(&record.file);
-                    fs.write_atomic(&qasm_path, &to_qasm(point.benchmark.circuit()), false)?;
-                    let sidecar = serde_json::json!({
-                        "architecture": point.benchmark.architecture(),
-                        "optimal_swaps": point.benchmark.optimal_swaps(),
-                        "two_qubit_gates": record.two_qubit_gates,
-                        "seed": seed,
-                        "content_hash": record.content_hash,
-                        "optimal_initial_mapping": point.benchmark.reference_mapping().as_slice(),
-                    });
+                    fs.write_atomic(&qasm_path, &qasm, false)?;
+                    let sidecar = Sidecar {
+                        architecture: point.benchmark.architecture().to_string(),
+                        optimal_swaps: point.benchmark.optimal_swaps(),
+                        two_qubit_gates: record.two_qubit_gates,
+                        seed,
+                        content_hash: record.content_hash.clone(),
+                        optimal_initial_mapping: point
+                            .benchmark
+                            .reference_mapping()
+                            .as_slice()
+                            .to_vec(),
+                    };
                     let sidecar_path = qasm_path.with_extension("json");
                     let json = serde_json::to_string_pretty(&sidecar).map_err(|e| {
                         StoreError::Malformed {
@@ -1111,19 +1130,50 @@ impl SuiteStore {
     /// therefore bit-identical to the corresponding slice of what
     /// [`generate_suite`] produces for the index's config.
     ///
-    /// The returned [`LoadedShard`] counts against
+    /// The instances are verified as jobs on one engine worker; the
+    /// streaming pipelines call [`load_shard_on`](Self::load_shard_on) to
+    /// spread them over their own thread count. The returned
+    /// [`LoadedShard`] counts against
     /// [`residency_peak`](Self::residency_peak) until dropped.
     ///
     /// # Errors
     ///
     /// The first (in shard order) [`StoreError`] found.
     pub fn load_shard(&self, shard: usize) -> Result<LoadedShard, StoreError> {
+        self.load_shard_on(shard, 1, &NullSink)
+    }
+
+    /// [`load_shard`](Self::load_shard) with the per-instance verification
+    /// (hash, parse, regeneration) run as one engine job per instance on
+    /// `threads` workers, reporting to `sink`. Still one shard resident and
+    /// the same first error in shard order, whatever the thread count.
+    ///
+    /// # Errors
+    ///
+    /// As [`load_shard`](Self::load_shard).
+    ///
+    /// # Panics
+    ///
+    /// If a verification job panics.
+    pub fn load_shard_on(
+        &self,
+        shard: usize,
+        threads: usize,
+        sink: &dyn ProgressSink,
+    ) -> Result<LoadedShard, StoreError> {
         let records = self.shard_records(shard)?;
         let guard = self.residency.acquire();
         let arch = self.index.device.build();
-        let points = records
-            .iter()
-            .map(|record| self.check_instance(&arch, record))
+        let engine = Engine::new(threads).with_base_seed(self.index.config.base_seed);
+        let points = engine
+            .run_values(
+                &records,
+                |_worker| (),
+                |(), _ctx, record| self.check_instance(&arch, record),
+                sink,
+            )
+            .unwrap_or_else(|error| panic!("shard load aborted: {error}"))
+            .into_iter()
             .collect::<Result<Vec<_>, _>>()?;
         Ok(LoadedShard {
             shard,

@@ -5,7 +5,7 @@
 //! pipeline streams with at most one shard of circuits resident, and the
 //! analytics fold is bit-identical at any thread count.
 
-use qubikos::{generate_suite, SuiteConfig};
+use qubikos::{generate_suite, SuiteConfig, MANIFEST_FILE};
 use qubikos_arch::{devices, DeviceKind};
 use qubikos_bench::analytics::{run_suite_analytics, AnalyticsConfig};
 use qubikos_bench::evaluation::{
@@ -102,6 +102,41 @@ fn v1_fixture_opens_as_a_single_shard_corpus() {
     .expect("v2 export");
     let v2 = outcome.store.expect("completes");
     assert_eq!(v2.load().expect("v2 load"), loaded);
+}
+
+/// Today's export writes every instance file of the committed fixture —
+/// the QASM circuits and their JSON metadata sidecars — byte for byte as the
+/// pre-shard code did. Only the v1 root `manifest.json` differs by design.
+#[test]
+fn export_reproduces_the_fixture_instance_files_byte_for_byte() {
+    let dir = TempDir::new("fixture-bytes");
+    SuiteStore::export_with_options(
+        &dir.0,
+        DeviceKind::Grid3x3,
+        &fixture_config(),
+        &ExportOptions::default(),
+        2,
+        &NullSink,
+    )
+    .expect("export");
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_suite");
+    let mut compared = 0;
+    for entry in std::fs::read_dir(&fixture).expect("fixture dir") {
+        let path = entry.expect("fixture entry").path();
+        let name = path.file_name().expect("file name");
+        if name == MANIFEST_FILE {
+            continue;
+        }
+        let expected = std::fs::read(&path).expect("fixture file");
+        let exported = std::fs::read(dir.0.join(name)).expect("exported file");
+        assert!(
+            exported == expected,
+            "{} differs from the fixture",
+            name.to_string_lossy()
+        );
+        compared += 1;
+    }
+    assert_eq!(compared, 8, "four instances, each a .qasm and a .json");
 }
 
 /// ISSUE satellite 4 (export half): an export killed after K shards leaves a

@@ -36,6 +36,15 @@ impl Circuit {
         }
     }
 
+    /// Creates an empty circuit over `num_qubits` qubits with room for
+    /// `gates` gates before it reallocates.
+    pub fn with_capacity(num_qubits: usize, gates: usize) -> Self {
+        Circuit {
+            num_qubits,
+            gates: Vec::with_capacity(gates),
+        }
+    }
+
     /// Creates a circuit from an explicit gate sequence.
     ///
     /// # Panics

@@ -64,14 +64,70 @@ impl Error for ParseQasmError {}
 /// assert!(text.contains("cx q[0], q[1];"));
 /// ```
 pub fn to_qasm(circuit: &Circuit) -> String {
-    let mut out = String::new();
-    out.push_str("OPENQASM 2.0;\n");
-    out.push_str("include \"qelib1.inc\";\n");
-    out.push_str(&format!("qreg q[{}];\n", circuit.num_qubits()));
+    let mut out = String::with_capacity(qasm_len(circuit));
+    out.push_str(HEADER);
+    out.push_str("qreg q[");
+    push_index(&mut out, circuit.num_qubits());
+    out.push_str("];\n");
     for gate in circuit.gates() {
-        out.push_str(&format!("{gate};\n"));
+        match *gate {
+            Gate::One { kind, qubit } => {
+                out.push_str(kind.mnemonic());
+                out.push_str(" q[");
+                push_index(&mut out, qubit);
+            }
+            Gate::Two { kind, qubits } => {
+                out.push_str(kind.mnemonic());
+                out.push_str(" q[");
+                push_index(&mut out, qubits[0]);
+                out.push_str("], q[");
+                push_index(&mut out, qubits[1]);
+            }
+        }
+        out.push_str("];\n");
     }
+    debug_assert_eq!(out.len(), qasm_len(circuit));
     out
+}
+
+/// The two header lines every export starts with.
+const HEADER: &str = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+
+/// Exact byte length of [`to_qasm`]'s output, so it is written into one
+/// allocation.
+fn qasm_len(circuit: &Circuit) -> usize {
+    // Per line: `qreg q[` / ` q[` / `], q[` before an index, `];\n` after.
+    let gates: usize = circuit
+        .gates()
+        .iter()
+        .map(|gate| match *gate {
+            Gate::One { kind, qubit } => kind.mnemonic().len() + 3 + digits(qubit) + 3,
+            Gate::Two { kind, qubits } => {
+                kind.mnemonic().len() + 3 + digits(qubits[0]) + 5 + digits(qubits[1]) + 3
+            }
+        })
+        .sum();
+    HEADER.len() + 7 + digits(circuit.num_qubits()) + 3 + gates
+}
+
+/// Number of decimal digits of `n`.
+fn digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends the decimal form of `n` without a formatting pass.
+fn push_index(out: &mut String, mut n: usize) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
 }
 
 /// Parses the OpenQASM 2.0 subset produced by [`to_qasm`].
@@ -90,6 +146,9 @@ pub fn to_qasm(circuit: &Circuit) -> String {
 /// register, a second `qreg` declaration, or a missing `qreg` declaration.
 pub fn parse_qasm(text: &str) -> Result<Circuit, ParseQasmError> {
     let mut register: Option<(String, Circuit)> = None;
+    // Each line holds at most one gate: reserving that many keeps the gate
+    // list from regrowing.
+    let max_gates = text.bytes().filter(|&b| b == b'\n').count() + 1;
     for (lineno, raw) in text.lines().enumerate() {
         let line_number = lineno + 1;
         let line = raw.split("//").next().unwrap_or("").trim();
@@ -118,7 +177,7 @@ pub fn parse_qasm(text: &str) -> Result<Circuit, ParseQasmError> {
                     ),
                 ));
             }
-            register = Some((name, Circuit::new(size)));
+            register = Some((name, Circuit::with_capacity(size, max_gates)));
             continue;
         }
         let (reg_name, circuit) = register
@@ -129,16 +188,25 @@ pub fn parse_qasm(text: &str) -> Result<Circuit, ParseQasmError> {
         let (mnemonic, operands) = statement
             .split_once(char::is_whitespace)
             .ok_or_else(|| ParseQasmError::new(line_number, "missing operands"))?;
-        let qubits: Vec<usize> = operands
-            .split(',')
-            .map(|op| parse_qubit_operand(op.trim(), reg_name))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|detail| {
+        // Every operand must parse; no supported gate takes more than two,
+        // so only the first two are kept and a longer list is unsupported.
+        let mut qubits = [0; 2];
+        let mut arity = 0;
+        for op in operands.split(',') {
+            let qubit = parse_qubit_operand(op.trim(), reg_name).map_err(|detail| {
                 ParseQasmError::new(line_number, format!("malformed qubit operand: {detail}"))
             })?;
-        let gate = build_gate(mnemonic, &qubits).ok_or_else(|| {
-            ParseQasmError::new(line_number, format!("unsupported gate '{mnemonic}'"))
-        })?;
+            if let Some(slot) = qubits.get_mut(arity) {
+                *slot = qubit;
+            }
+            arity += 1;
+        }
+        let gate = qubits
+            .get(..arity)
+            .and_then(|qubits| build_gate(mnemonic, qubits))
+            .ok_or_else(|| {
+                ParseQasmError::new(line_number, format!("unsupported gate '{mnemonic}'"))
+            })?;
         if gate.max_qubit() >= circuit.num_qubits() {
             return Err(ParseQasmError::new(
                 line_number,
@@ -327,6 +395,89 @@ mod tests {
         assert_eq!(err.line(), 2);
         assert!(err.to_string().contains("multiple quantum registers"));
         assert!(err.to_string().contains("'a'"));
+    }
+
+    /// `(text, line, Display)` of inputs whose operand list does not fit the
+    /// mnemonic or does not parse.
+    const OPERAND_ERRORS: [(&str, usize, &str); 6] = [
+        (
+            "qreg q[3];\ncx q[0], q[1], q[2];\n",
+            2,
+            "qasm parse error at line 2: unsupported gate 'cx'",
+        ),
+        (
+            "qreg q[3];\nh q[0];\nh q[0], q[1];\n",
+            3,
+            "qasm parse error at line 3: unsupported gate 'h'",
+        ),
+        (
+            "qreg q[3];\ncx q[0];\n",
+            2,
+            "qasm parse error at line 2: unsupported gate 'cx'",
+        ),
+        (
+            "qreg q[3];\ncx q[0], q1;\n",
+            2,
+            "qasm parse error at line 2: malformed qubit operand: expected 'q[i]', found 'q1'",
+        ),
+        (
+            "qreg q[3];\ncx q[0], q[1], q[x];\n",
+            2,
+            "qasm parse error at line 2: malformed qubit operand: non-numeric index in 'q[x]'",
+        ),
+        (
+            "qreg q[3];\nswap q[0], q[1;\n",
+            2,
+            "qasm parse error at line 2: malformed qubit operand: missing ']' in 'q[1'",
+        ),
+    ];
+
+    #[test]
+    fn operand_count_and_syntax_errors_name_the_line() {
+        for (text, line, message) in OPERAND_ERRORS {
+            let err = parse_qasm(text).unwrap_err();
+            assert_eq!(
+                (err.line(), err.to_string().as_str()),
+                (line, message),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn to_qasm_bytes_are_pinned() {
+        let c = Circuit::from_gates(
+            12,
+            [
+                Gate::one(OneQubitKind::H, 0),
+                Gate::one(OneQubitKind::X, 1),
+                Gate::one(OneQubitKind::Y, 9),
+                Gate::one(OneQubitKind::Z, 10),
+                Gate::one(OneQubitKind::S, 11),
+                Gate::one(OneQubitKind::T, 2),
+                Gate::cx(10, 3),
+                Gate::cz(4, 11),
+                Gate::swap(0, 10),
+            ],
+        );
+        let expected = "OPENQASM 2.0;\n\
+                        include \"qelib1.inc\";\n\
+                        qreg q[12];\n\
+                        h q[0];\n\
+                        x q[1];\n\
+                        y q[9];\n\
+                        z q[10];\n\
+                        s q[11];\n\
+                        t q[2];\n\
+                        cx q[10], q[3];\n\
+                        cz q[4], q[11];\n\
+                        swap q[0], q[10];\n";
+        assert_eq!(to_qasm(&c), expected);
+        assert_eq!(
+            to_qasm(&Circuit::new(0)),
+            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[0];\n"
+        );
+        assert_eq!(parse_qasm(expected).expect("parses"), c);
     }
 
     #[test]

@@ -57,5 +57,5 @@ pub use oracle::{
     default_row_capacity, BfsOracle, DistanceOracle, DistanceRow, OracleKind, OracleStats,
     DENSE_ORACLE_MAX_NODES, SPARSE_ROW_CACHE_CAPACITY,
 };
-pub use traversal::{bfs_distances, bfs_edge_order, bfs_order, connected_components};
+pub use traversal::{bfs_distances, bfs_edge_order, bfs_order, connected_components, EdgeWalk};
 pub use weights::CouplerWeights;

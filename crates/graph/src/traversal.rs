@@ -3,7 +3,8 @@
 //! The QUBIKOS backbone construction orders the gates of a section by the
 //! order in which a BFS visits the edges of the section's interaction graph
 //! (Algorithm 2 of the paper), so besides the usual node orders and distance
-//! maps this module exposes [`bfs_edge_order`].
+//! maps this module exposes [`bfs_edge_order`] and its buffer-reusing form
+//! [`EdgeWalk`].
 
 use crate::graph::{Edge, Graph, NodeId};
 use std::collections::VecDeque;
@@ -58,40 +59,93 @@ pub fn bfs_order_multi(graph: &Graph, starts: &[NodeId]) -> Vec<NodeId> {
 ///
 /// This is the gate ordering primitive of QUBIKOS backbone sections: gates
 /// earlier in the BFS edge order can be made to precede gates later in it by
-/// emitting them in this order.
+/// emitting them in this order. [`EdgeWalk`] runs the same walk over any
+/// adjacency with reusable buffers.
 ///
 /// # Panics
 ///
 /// Panics if any start node is out of range.
 pub fn bfs_edge_order(graph: &Graph, starts: &[NodeId], skip: &[Edge]) -> Vec<Edge> {
-    let mut visited = vec![false; graph.node_count()];
-    let mut reported = std::collections::BTreeSet::new();
     let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    let skipped: std::collections::BTreeSet<Edge> = skip.iter().copied().collect();
-    for &s in starts {
-        assert!(s < graph.node_count(), "start node {s} out of range");
-        if !visited[s] {
-            visited[s] = true;
-            queue.push_back(s);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        for &v in graph.neighbors(u) {
-            let e = Edge::new(u, v);
-            if skipped.contains(&e) {
-                continue;
-            }
-            if reported.insert(e) {
-                order.push(e);
-            }
-            if !visited[v] {
-                visited[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
+    EdgeWalk::default().walk(
+        graph.node_count(),
+        |u| graph.neighbors(u),
+        starts,
+        skip,
+        &mut order,
+    );
     order
+}
+
+/// Reusable state of the [`bfs_edge_order`] walk.
+///
+/// One walk needs a per-node mark and a queue; keeping them in an
+/// `EdgeWalk` lets a caller that walks many small graphs (the generator
+/// walks two per backbone section) run every walk without allocating.
+#[derive(Debug, Default, Clone)]
+pub struct EdgeWalk {
+    marks: Vec<Mark>,
+    queue: VecDeque<NodeId>,
+}
+
+/// Progress of one node through an [`EdgeWalk`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    Unseen,
+    Queued,
+    Popped,
+}
+
+impl EdgeWalk {
+    /// Appends to `order` the edges a BFS from `starts` visits, in
+    /// [`bfs_edge_order`]'s order, over the graph on `node_count` nodes whose
+    /// neighbours of `u` are `neighbors(u)`.
+    ///
+    /// An edge `{u, v}` scanned from the dequeued node `u` was already
+    /// reported exactly when `v` was dequeued earlier, so the popped marks
+    /// double as the reported-edge set. This relies on `neighbors` listing
+    /// each neighbour once, as every simple-graph adjacency does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any start node is out of range.
+    pub fn walk<'g>(
+        &mut self,
+        node_count: usize,
+        neighbors: impl Fn(NodeId) -> &'g [NodeId],
+        starts: &[NodeId],
+        skip: &[Edge],
+        order: &mut Vec<Edge>,
+    ) {
+        self.marks.clear();
+        self.marks.resize(node_count, Mark::Unseen);
+        self.queue.clear();
+        for &s in starts {
+            assert!(s < node_count, "start node {s} out of range");
+            if self.marks[s] == Mark::Unseen {
+                self.marks[s] = Mark::Queued;
+                self.queue.push_back(s);
+            }
+        }
+        while let Some(u) = self.queue.pop_front() {
+            self.marks[u] = Mark::Popped;
+            for &v in neighbors(u) {
+                let e = Edge::new(u, v);
+                if skip.contains(&e) {
+                    continue;
+                }
+                match self.marks[v] {
+                    Mark::Popped => {}
+                    Mark::Queued => order.push(e),
+                    Mark::Unseen => {
+                        order.push(e);
+                        self.marks[v] = Mark::Queued;
+                        self.queue.push_back(v);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Shortest-path (hop) distance from `start` to every node.
@@ -202,6 +256,68 @@ mod tests {
         let order = bfs_edge_order(&g, &[1], &[]);
         // Both edges incident to node 1 come before the far edge.
         assert_eq!(order[2], Edge::new(2, 3));
+    }
+
+    /// The walk as first written: a visited flag plus explicit
+    /// reported-edge and skip sets.
+    fn reference_edge_order(graph: &Graph, starts: &[NodeId], skip: &[Edge]) -> Vec<Edge> {
+        let mut visited = vec![false; graph.node_count()];
+        let mut reported = std::collections::BTreeSet::new();
+        let skipped: std::collections::BTreeSet<Edge> = skip.iter().copied().collect();
+        let mut order = Vec::new();
+        let mut queue = VecDeque::new();
+        for &s in starts {
+            if !visited[s] {
+                visited[s] = true;
+                queue.push_back(s);
+            }
+        }
+        while let Some(u) = queue.pop_front() {
+            for &v in graph.neighbors(u) {
+                let e = Edge::new(u, v);
+                if skipped.contains(&e) {
+                    continue;
+                }
+                if reported.insert(e) {
+                    order.push(e);
+                }
+                if !visited[v] {
+                    visited[v] = true;
+                    queue.push_back(v);
+                }
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn edge_walk_matches_the_set_based_walk_on_random_graphs() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(15);
+        let mut walk = EdgeWalk::default();
+        let mut order = Vec::new();
+        for _ in 0..300 {
+            let n = rng.gen_range(2..14);
+            let mut g = Graph::with_nodes(n);
+            for _ in 0..rng.gen_range(0..3 * n) {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if a != b {
+                    g.add_edge(a, b);
+                }
+            }
+            let starts: Vec<NodeId> = (0..rng.gen_range(1..4))
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            let mut skip: Vec<Edge> = g.edges().filter(|_| rng.gen_range(0..5) == 0).collect();
+            skip.push(Edge::new(starts[0], (starts[0] + 1) % n));
+            let expected = reference_edge_order(&g, &starts, &skip);
+            assert_eq!(bfs_edge_order(&g, &starts, &skip), expected);
+            // A reused walk appends exactly the same edges.
+            order.clear();
+            order.push(Edge::new(0, 1));
+            walk.walk(n, |u| g.neighbors(u), &starts, &skip, &mut order);
+            assert_eq!(order[1..], expected[..]);
+        }
     }
 
     #[test]

@@ -3,13 +3,13 @@
 use crate::benchmark::{QubikosCircuit, Section};
 use qubikos_arch::Architecture;
 use qubikos_circuit::{Circuit, Gate, OneQubitKind};
-use qubikos_graph::{bfs_edge_order, Edge, Graph, NodeId};
+use qubikos_graph::{Edge, EdgeWalk, Graph, NodeId};
 use qubikos_layout::Mapping;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -109,7 +109,7 @@ pub fn generate(
     }
 
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-    let mut builder = Builder::new(arch, &mut rng);
+    let mut builder = Builder::new(arch, &mut rng, config);
     for _ in 0..config.num_swaps {
         builder.add_section()?;
     }
@@ -118,6 +118,11 @@ pub fn generate(
 }
 
 /// Incremental construction state.
+///
+/// What depends only on the device (the coupler list and the SWAP
+/// candidates) is computed once per instance, and every per-section working
+/// set lives in [`Scratch`], so a section allocates nothing but its own
+/// [`Section`] record.
 struct Builder<'a, 'r> {
     arch: &'a Architecture,
     rng: &'r mut ChaCha8Rng,
@@ -125,9 +130,10 @@ struct Builder<'a, 'r> {
     prog_to_phys: Vec<NodeId>,
     /// Physical qubit → program qubit (full occupancy).
     phys_to_prog: Vec<NodeId>,
-    /// Snapshot of `prog_to_phys` before each section's SWAP; `mappings[i]`
-    /// is the mapping section `i`'s body executes under.
-    mappings: Vec<Vec<NodeId>>,
+    /// Snapshots of `prog_to_phys` taken before each section's SWAP, back to
+    /// back: section `i`'s body executes under the mapping
+    /// `mappings[i * n..(i + 1) * n]`.
+    mappings: Vec<NodeId>,
     /// The initial mapping (program → physical).
     initial: Vec<NodeId>,
     /// Logical circuit built so far.
@@ -138,10 +144,183 @@ struct Builder<'a, 'r> {
     sections: Vec<Section>,
     /// Previous section's special gate (program pair), if any.
     prev_special: Option<(NodeId, NodeId)>,
+    /// The device's couplers, in [`Graph::edges`] order.
+    couplers: Vec<Edge>,
+    /// The SWAPs every section draws from (see [`top_swap_candidates`]).
+    candidates: Vec<(Edge, NodeId, NodeId)>,
+    scratch: Scratch,
+}
+
+/// Buffers every section reuses.
+#[derive(Default)]
+struct Scratch {
+    /// The section body (program pairs), sorted and deduplicated.
+    body: Vec<(NodeId, NodeId)>,
+    /// The section's connector gates, in the order they were found.
+    connectors: Vec<(NodeId, NodeId)>,
+    /// Union-find parents over program qubits: the components of the body
+    /// plus the connectors found so far.
+    component: Vec<NodeId>,
+    /// Membership of each program qubit in the body's root component.
+    in_root: Vec<bool>,
+    paths: PathSearch,
+    /// Edge list (sorted, deduplicated) and CSR adjacency of the graph an
+    /// ordering walk runs over.
+    walk_edges: Vec<(NodeId, NodeId)>,
+    offsets: Vec<usize>,
+    targets: Vec<NodeId>,
+    walk: EdgeWalk,
+    /// The section's gate order: first half, then the reversed second half.
+    order: Vec<Edge>,
+}
+
+/// Physical coupler SWAPs that enable a new interaction, together with the
+/// endpoint to saturate (`p`) and the special partner (`p''`), as triples
+/// `(swap_edge, saturate, special_partner)` in coupler order — keeping only
+/// those whose saturated endpoint has the highest degree: saturating a
+/// high-degree endpoint minimises the number of other qubits whose edges
+/// must also be saturated, keeping the section (and hence the circuit)
+/// small. The list depends on the coupling graph alone, not on the mapping.
+fn top_swap_candidates(coupling: &Graph, couplers: &[Edge]) -> Vec<(Edge, NodeId, NodeId)> {
+    let mut candidates = Vec::new();
+    for &edge in couplers {
+        for (p, other) in [(edge.u, edge.v), (edge.v, edge.u)] {
+            for &partner in coupling.neighbors(other) {
+                if partner != p && !coupling.has_edge(partner, p) {
+                    candidates.push((edge, p, partner));
+                }
+            }
+        }
+    }
+    if let Some(best_degree) = candidates.iter().map(|&(_, p, _)| coupling.degree(p)).max() {
+        candidates.retain(|&(_, p, _)| coupling.degree(p) == best_degree);
+    }
+    candidates
+}
+
+/// Translates a physical coupler into the program-qubit pair occupying it
+/// under `phys_to_prog` (canonical order).
+fn program_pair(phys_to_prog: &[NodeId], a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+    let (qa, qb) = (phys_to_prog[a], phys_to_prog[b]);
+    (qa.min(qb), qa.max(qb))
+}
+
+/// Union-find representative of `q`, halving the path on the way.
+fn find(component: &mut [NodeId], mut q: NodeId) -> NodeId {
+    while component[q] != q {
+        component[q] = component[component[q]];
+        q = component[q];
+    }
+    q
+}
+
+/// Merges the union-find components of `a` and `b`.
+fn union(component: &mut [NodeId], a: NodeId, b: NodeId) {
+    let (ra, rb) = (find(component, a), find(component, b));
+    component[ra.max(rb)] = ra.min(rb);
+}
+
+/// Reusable BFS over the coupling graph towards the root component.
+#[derive(Default)]
+struct PathSearch {
+    /// BFS parent per physical qubit; `usize::MAX` while unseen.
+    parent: Vec<NodeId>,
+    queue: VecDeque<NodeId>,
+    path: Vec<NodeId>,
+}
+
+impl PathSearch {
+    /// Shortest physical path from `start` to the nearest physical qubit
+    /// hosting a program qubit of the root component (`in_root`), start end
+    /// first.
+    fn path_to_root(
+        &mut self,
+        coupling: &Graph,
+        phys_to_prog: &[NodeId],
+        in_root: &[bool],
+        start: NodeId,
+    ) -> &[NodeId] {
+        self.parent.clear();
+        self.parent.resize(coupling.node_count(), usize::MAX);
+        self.queue.clear();
+        self.queue.push_back(start);
+        self.parent[start] = start;
+        let mut goal = None;
+        'bfs: while let Some(p) = self.queue.pop_front() {
+            for &nb in coupling.neighbors(p) {
+                if self.parent[nb] != usize::MAX {
+                    continue;
+                }
+                self.parent[nb] = p;
+                if in_root[phys_to_prog[nb]] {
+                    goal = Some(nb);
+                    break 'bfs;
+                }
+                self.queue.push_back(nb);
+            }
+        }
+        let goal = goal.expect("connected coupling graph always reaches the root component");
+        self.path.clear();
+        self.path.push(goal);
+        let mut cur = goal;
+        while cur != start {
+            cur = self.parent[cur];
+            self.path.push(cur);
+        }
+        self.path.reverse();
+        &self.path
+    }
+}
+
+impl Scratch {
+    /// Appends to `order` the [`EdgeWalk`] order of the graph on
+    /// `num_nodes` nodes with the body edges plus `extra`, walked from
+    /// `extra`'s endpoints and never through `extra` itself.
+    fn walk_from(&mut self, num_nodes: usize, extra: (NodeId, NodeId)) {
+        self.walk_edges.clear();
+        self.walk_edges.extend_from_slice(&self.body);
+        self.walk_edges.push(extra);
+        self.walk_edges.sort_unstable();
+        self.walk_edges.dedup();
+
+        // CSR adjacency. Filling it in sorted (a < b) edge order lists every
+        // node's neighbours in ascending order, the order
+        // `Graph::neighbors` reports and the walk depends on.
+        self.offsets.clear();
+        self.offsets.resize(num_nodes + 1, 0);
+        for &(a, b) in &self.walk_edges {
+            self.offsets[a + 1] += 1;
+            self.offsets[b + 1] += 1;
+        }
+        for i in 0..num_nodes {
+            self.offsets[i + 1] += self.offsets[i];
+        }
+        self.targets.clear();
+        self.targets.resize(self.offsets[num_nodes], 0);
+        // `offsets[n]` serves as node `n`'s fill cursor and ends at node
+        // `n + 1`'s start; shifting by one slot restores the starts.
+        for &(a, b) in &self.walk_edges {
+            self.targets[self.offsets[a]] = b;
+            self.offsets[a] += 1;
+            self.targets[self.offsets[b]] = a;
+            self.offsets[b] += 1;
+        }
+        self.offsets.copy_within(0..num_nodes, 1);
+        self.offsets[0] = 0;
+
+        let (offsets, targets) = (&self.offsets, &self.targets);
+        self.walk.walk(
+            num_nodes,
+            |u| &targets[offsets[u]..offsets[u + 1]],
+            &[extra.0, extra.1],
+            &[Edge::new(extra.0, extra.1)],
+            &mut self.order,
+        );
+    }
 }
 
 impl<'a, 'r> Builder<'a, 'r> {
-    fn new(arch: &'a Architecture, rng: &'r mut ChaCha8Rng) -> Self {
+    fn new(arch: &'a Architecture, rng: &'r mut ChaCha8Rng, config: &GeneratorConfig) -> Self {
         let n = arch.num_qubits();
         // Random initial bijection between program and physical qubits.
         let mut phys_of: Vec<NodeId> = (0..n).collect();
@@ -150,107 +329,73 @@ impl<'a, 'r> Builder<'a, 'r> {
         for (q, &p) in phys_of.iter().enumerate() {
             prog_at[p] = q;
         }
+        let coupling = arch.coupling_graph();
+        let couplers: Vec<Edge> = coupling.edges().collect();
+        let candidates = top_swap_candidates(coupling, &couplers);
         Builder {
             arch,
             rng,
             prog_to_phys: phys_of.clone(),
             phys_to_prog: prog_at,
-            mappings: Vec::new(),
+            mappings: Vec::with_capacity(n * config.num_swaps),
             initial: phys_of,
             circuit: Circuit::new(n),
             reference: Circuit::new(n),
-            sections: Vec::new(),
+            sections: Vec::with_capacity(config.num_swaps),
             prev_special: None,
+            couplers,
+            candidates,
+            scratch: Scratch::default(),
         }
-    }
-
-    /// Physical coupler SWAPs that enable a new interaction, together with
-    /// the endpoint to saturate (`p`) and the special partner (`p''`).
-    ///
-    /// Returns triples `(swap_edge, saturate, special_partner)`.
-    fn swap_candidates(&self) -> Vec<(Edge, NodeId, NodeId)> {
-        let coupling = self.arch.coupling_graph();
-        let mut candidates = Vec::new();
-        for edge in coupling.edges() {
-            for (p, other) in [(edge.u, edge.v), (edge.v, edge.u)] {
-                for &partner in coupling.neighbors(other) {
-                    if partner != p && !coupling.has_edge(partner, p) {
-                        candidates.push((edge, p, partner));
-                    }
-                }
-            }
-        }
-        candidates
     }
 
     /// Adds one backbone section forcing exactly one SWAP (Algorithms 1–2).
     fn add_section(&mut self) -> Result<(), GenerateError> {
         let coupling = self.arch.coupling_graph();
-        let candidates = self.swap_candidates();
-        if candidates.is_empty() {
-            return Err(GenerateError::UnsupportedArchitecture {
-                detail: "no SWAP can enable a new interaction".into(),
-            });
-        }
-        // Prefer saturating a high-degree endpoint: it minimises the number
-        // of other qubits whose edges must also be saturated, keeping the
-        // section (and hence the circuit) small.
-        let best_degree = candidates
-            .iter()
-            .map(|&(_, p, _)| coupling.degree(p))
-            .max()
-            .expect("candidates is non-empty");
-        let top: Vec<&(Edge, NodeId, NodeId)> = candidates
-            .iter()
-            .filter(|&&(_, p, _)| coupling.degree(p) == best_degree)
-            .collect();
-        let &&(swap_edge, saturate, partner) =
-            top.choose(self.rng).expect("top candidates is non-empty");
+        let &(swap_edge, saturate, partner) =
+            self.candidates.choose(self.rng).ok_or_else(|| {
+                GenerateError::UnsupportedArchitecture {
+                    detail: "no SWAP can enable a new interaction".into(),
+                }
+            })?;
 
         // --- Algorithm 1: body edges (program-qubit pairs). ---
-        let mut body: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+        let body = &mut self.scratch.body;
+        body.clear();
         let saturate_degree = coupling.degree(saturate);
-        for edge in coupling.edges() {
+        for edge in &self.couplers {
             let incident_to_saturate = edge.contains(saturate);
             let has_higher_degree_endpoint = coupling.degree(edge.u) > saturate_degree
                 || coupling.degree(edge.v) > saturate_degree;
             if incident_to_saturate || has_higher_degree_endpoint {
-                body.insert(self.program_pair(edge.u, edge.v));
+                body.push(program_pair(&self.phys_to_prog, edge.u, edge.v));
             }
         }
-        let special = self.program_pair(saturate, partner);
-        debug_assert!(!body.contains(&special));
+        body.sort_unstable();
+        body.dedup();
+        let special = program_pair(&self.phys_to_prog, saturate, partner);
+        debug_assert!(body.binary_search(&special).is_err());
 
         // --- Connectors: make body ∪ {special} one component that also ---
         // --- touches the previous special gate's qubits.               ---
-        let connectors = self.connect(&body, special, self.prev_special);
-        body.extend(connectors);
+        self.connect(special);
+        let scratch = &mut self.scratch;
+        scratch.body.extend_from_slice(&scratch.connectors);
+        scratch.body.sort_unstable();
 
         // --- Algorithm 2: gate ordering. ---
         let num_program = self.circuit.num_qubits();
-        let special_edge = Edge::new(special.0, special.1);
-        let mut first_half = Vec::new();
+        scratch.order.clear();
         if let Some(prev) = self.prev_special {
-            let prev_edge = Edge::new(prev.0, prev.1);
-            let mut h1 = Graph::with_nodes(num_program);
-            for &(a, b) in &body {
-                h1.add_edge(a, b);
-            }
-            h1.add_edge(prev.0, prev.1);
-            first_half = bfs_edge_order(&h1, &[prev.0, prev.1], &[prev_edge]);
+            scratch.walk_from(num_program, prev);
         }
-        let mut h2 = Graph::with_nodes(num_program);
-        for &(a, b) in &body {
-            h2.add_edge(a, b);
-        }
-        h2.add_edge(special.0, special.1);
-        let mut second_half = bfs_edge_order(&h2, &[special.0, special.1], &[special_edge]);
-        second_half.reverse();
+        let first_half = scratch.order.len();
+        scratch.walk_from(num_program, special);
+        scratch.order[first_half..].reverse();
 
         // --- Emit the section into the logical and reference circuits. ---
-        let section_index = self.sections.len();
-        let mut body_indices = Vec::new();
-        for edge in first_half.iter().chain(second_half.iter()) {
+        let mut body_indices = Vec::with_capacity(scratch.order.len());
+        for edge in &scratch.order {
             body_indices.push(self.circuit.gate_count());
             let gate = Gate::cx(edge.u, edge.v);
             self.circuit.push(gate);
@@ -258,7 +403,7 @@ impl<'a, 'r> Builder<'a, 'r> {
                 .push(gate.map_qubits(|q| self.prog_to_phys[q]));
         }
         // SWAP, mapping update, then the special gate under the new mapping.
-        self.mappings.push(self.prog_to_phys.clone());
+        self.mappings.extend_from_slice(&self.prog_to_phys);
         self.reference.push(Gate::swap(swap_edge.u, swap_edge.v));
         self.apply_swap(swap_edge.u, swap_edge.v);
         let special_index = self.circuit.gate_count();
@@ -274,15 +419,7 @@ impl<'a, 'r> Builder<'a, 'r> {
             special_pair: special,
         });
         self.prev_special = Some(special);
-        let _ = section_index;
         Ok(())
-    }
-
-    /// Translates a physical coupler into the program-qubit pair currently
-    /// occupying it (canonical order).
-    fn program_pair(&self, a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        let (qa, qb) = (self.phys_to_prog[a], self.phys_to_prog[b]);
-        (qa.min(qb), qa.max(qb))
     }
 
     fn apply_swap(&mut self, a: NodeId, b: NodeId) {
@@ -294,8 +431,9 @@ impl<'a, 'r> Builder<'a, 'r> {
         self.prog_to_phys[qb] = a;
     }
 
-    /// Adds connector gates (coupler edges under the current mapping) so that
-    /// the body edges form a *single* connected component on their own — one
+    /// Collects in `scratch.connectors` the connector gates (coupler edges
+    /// under the current mapping) that make the body edges in
+    /// `scratch.body` a *single* connected component on their own — one
     /// that also contains at least one qubit of the previous special gate.
     ///
     /// Connectivity must hold without the special edge (and without the
@@ -303,118 +441,88 @@ impl<'a, 'r> Builder<'a, 'r> {
     /// previous special gate's qubits and the second-half BFS covers it
     /// through the new special gate's qubits, and both orderings are only
     /// complete when the body itself is connected.
-    fn connect(
-        &mut self,
-        body: &BTreeSet<(NodeId, NodeId)>,
-        special: (NodeId, NodeId),
-        prev_special: Option<(NodeId, NodeId)>,
-    ) -> Vec<(NodeId, NodeId)> {
+    fn connect(&mut self, special: (NodeId, NodeId)) {
         let num_program = self.circuit.num_qubits();
-        let mut connectors: Vec<(NodeId, NodeId)> = Vec::new();
+        let Scratch {
+            body,
+            connectors,
+            component,
+            in_root,
+            paths,
+            ..
+        } = &mut self.scratch;
+        connectors.clear();
+        component.clear();
+        component.extend(0..num_program);
+        for &(a, b) in body.iter() {
+            union(component, a, b);
+        }
+        let seed = *body.first().expect("section body is never empty");
         loop {
-            // Component structure of the body (plus connectors) built so far.
-            let mut graph = Graph::with_nodes(num_program);
-            for &(a, b) in body.iter().chain(connectors.iter()) {
-                graph.add_edge(a, b);
-            }
-            let seed = *body.iter().next().expect("section body is never empty");
-
-            let mut root = vec![false; num_program];
-            let mut queue = VecDeque::from([seed.0, seed.1]);
-            root[seed.0] = true;
-            root[seed.1] = true;
-            while let Some(q) = queue.pop_front() {
-                for &nb in graph.neighbors(q) {
-                    if !root[nb] {
-                        root[nb] = true;
-                        queue.push_back(nb);
-                    }
-                }
+            // The component of the body (plus connectors) holding its first
+            // edge.
+            let root = find(component, seed.0);
+            in_root.clear();
+            for q in 0..num_program {
+                let inside = find(component, q) == root;
+                in_root.push(inside);
             }
 
             // A program qubit that still needs to be reached: an endpoint of
             // an unconnected body edge, or the previous special gate's qubit.
-            let mut target = None;
-            for &(a, b) in body.iter().chain(connectors.iter()) {
-                if !root[a] {
-                    target = Some(a);
-                    break;
+            let mut target = body.iter().chain(connectors.iter()).find_map(|&(a, b)| {
+                if !in_root[a] {
+                    Some(a)
+                } else if !in_root[b] {
+                    Some(b)
+                } else {
+                    None
                 }
-                if !root[b] {
-                    target = Some(b);
-                    break;
-                }
-            }
+            });
             if target.is_none() {
-                if let Some(prev) = prev_special {
-                    if !root[prev.0] && !root[prev.1] {
+                if let Some(prev) = self.prev_special {
+                    if !in_root[prev.0] && !in_root[prev.1] {
                         target = Some(prev.0);
                     }
                 }
             }
             let Some(target) = target else {
-                return connectors;
+                return;
             };
 
             // Shortest physical path from the target's location to the root
             // component; every hop becomes a connector gate.
-            let path = self.physical_path_to_root(&root, target);
+            let path = paths.path_to_root(
+                self.arch.coupling_graph(),
+                &self.phys_to_prog,
+                in_root,
+                self.prog_to_phys[target],
+            );
             for window in path.windows(2) {
-                let pair = self.program_pair(window[0], window[1]);
-                if pair != special && !body.contains(&pair) && !connectors.contains(&pair) {
+                let pair = program_pair(&self.phys_to_prog, window[0], window[1]);
+                if pair != special
+                    && body.binary_search(&pair).is_err()
+                    && !connectors.contains(&pair)
+                {
                     connectors.push(pair);
+                    union(component, pair.0, pair.1);
                 }
             }
         }
-    }
-
-    /// BFS over the coupling graph from `target`'s physical location to the
-    /// nearest physical location hosting a root-component program qubit.
-    /// Returns the physical path (target end first).
-    fn physical_path_to_root(&self, root: &[bool], target: NodeId) -> Vec<NodeId> {
-        let coupling = self.arch.coupling_graph();
-        let start = self.prog_to_phys[target];
-        let mut parent = vec![usize::MAX; coupling.node_count()];
-        let mut seen = vec![false; coupling.node_count()];
-        let mut queue = VecDeque::from([start]);
-        seen[start] = true;
-        let mut goal = None;
-        'bfs: while let Some(p) = queue.pop_front() {
-            for &nb in coupling.neighbors(p) {
-                if seen[nb] {
-                    continue;
-                }
-                seen[nb] = true;
-                parent[nb] = p;
-                if root[self.phys_to_prog[nb]] {
-                    goal = Some(nb);
-                    break 'bfs;
-                }
-                queue.push_back(nb);
-            }
-        }
-        let goal = goal.expect("connected coupling graph always reaches the root component");
-        let mut path = vec![goal];
-        let mut cur = goal;
-        while cur != start {
-            cur = parent[cur];
-            path.push(cur);
-        }
-        path.reverse();
-        path
     }
 
     /// Inserts redundant padding gates until the two-qubit gate target is met,
     /// plus cosmetic single-qubit gates (Algorithm 3, final loop).
     fn pad(&mut self, config: &GeneratorConfig) {
-        let coupling = self.arch.coupling_graph();
-        let couplers: Vec<Edge> = coupling.edges().collect();
-        while self.circuit.two_qubit_gate_count() < config.target_two_qubit_gates {
+        let n = self.circuit.num_qubits();
+        let mut two_qubit_gates = self.circuit.two_qubit_gate_count();
+        while two_qubit_gates < config.target_two_qubit_gates {
             let section_idx = self.rng.gen_range(0..self.sections.len());
-            let edge = *couplers
+            let edge = *self
+                .couplers
                 .choose(self.rng)
                 .expect("architecture has couplers");
-            let mapping = &self.mappings[section_idx];
+            let mapping = &self.mappings[section_idx * n..(section_idx + 1) * n];
             // Program pair occupying this coupler while section `section_idx`
             // executes (mapping snapshots are program→physical, invert lazily).
             let qa = mapping
@@ -427,13 +535,13 @@ impl<'a, 'r> Builder<'a, 'r> {
                 .expect("full occupancy");
             let gate = Gate::cx(qa.min(qb), qa.max(qb));
             self.insert_padding(section_idx, gate);
+            two_qubit_gates += 1;
         }
-        let singles =
-            (self.circuit.two_qubit_gate_count() as f64 * config.single_qubit_ratio) as usize;
+        let singles = (two_qubit_gates as f64 * config.single_qubit_ratio) as usize;
         let kinds = OneQubitKind::ALL;
         for _ in 0..singles {
             let section_idx = self.rng.gen_range(0..self.sections.len());
-            let qubit = self.rng.gen_range(0..self.circuit.num_qubits());
+            let qubit = self.rng.gen_range(0..n);
             let kind = kinds[self.rng.gen_range(0..kinds.len())];
             self.insert_padding(section_idx, Gate::one(kind, qubit));
         }
@@ -452,14 +560,17 @@ impl<'a, 'r> Builder<'a, 'r> {
             .unwrap_or(section.special_index);
         let high = section.special_index;
         let pos = self.rng.gen_range(low..=high);
-        let mapping = &self.mappings[section_idx];
+        let n = self.circuit.num_qubits();
+        let mapping = &self.mappings[section_idx * n..(section_idx + 1) * n];
         let physical_gate = gate.map_qubits(|q| mapping[q]);
 
         self.circuit.insert(pos, gate);
         // The reference circuit has one extra SWAP gate per preceding section.
         self.reference.insert(pos + section_idx, physical_gate);
 
-        for section in &mut self.sections {
+        // Sections are in program order, so only this one and the later ones
+        // hold indices at or past `pos`.
+        for section in &mut self.sections[section_idx..] {
             for idx in &mut section.body_indices {
                 if *idx >= pos {
                     *idx += 1;
@@ -472,7 +583,7 @@ impl<'a, 'r> Builder<'a, 'r> {
     }
 
     fn finish(self, arch: &Architecture, config: &GeneratorConfig) -> QubikosCircuit {
-        let mapping = Mapping::from_prog_to_phys(self.initial.clone(), arch.num_qubits());
+        let mapping = Mapping::from_prog_to_phys(self.initial, arch.num_qubits());
         QubikosCircuit::new(
             self.circuit,
             self.sections.len(),

@@ -195,13 +195,19 @@ impl InstanceRecord {
     /// Builds the record for one generated point, including the content hash
     /// of its canonical QASM serialization.
     pub fn describe(device: DeviceKind, point: &ExperimentPoint) -> Self {
+        Self::describe_qasm(device, point, &to_qasm(point.benchmark.circuit()))
+    }
+
+    /// [`describe`](Self::describe) for a caller that already holds the
+    /// point's QASM (`to_qasm` of its circuit), which is hashed as given.
+    pub fn describe_qasm(device: DeviceKind, point: &ExperimentPoint, qasm: &str) -> Self {
         InstanceRecord {
             swap_count: point.swap_count,
             instance: point.instance,
             seed: point.seed,
             two_qubit_gates: point.benchmark.circuit().two_qubit_gate_count(),
             file: instance_file_name(device, point.swap_count, point.instance),
-            content_hash: content_hash(&to_qasm(point.benchmark.circuit())),
+            content_hash: content_hash(qasm),
         }
     }
 }

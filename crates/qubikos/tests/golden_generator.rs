@@ -20,6 +20,10 @@ use qubikos::{content_hash, generate, GeneratorConfig, QubikosCircuit};
 use qubikos_arch::{Architecture, DeviceKind};
 use qubikos_circuit::to_qasm;
 
+/// `(designed SWAPs, two-qubit gates, seed)` of a pinned instance and its
+/// expected [`digests`].
+type Pinned<'a> = ((usize, usize, u64), [&'a str; 4]);
+
 /// `[circuit QASM, reference-solution QASM, sections JSON, reference mapping]`.
 fn digests(bench: &QubikosCircuit) -> [String; 4] {
     [
@@ -32,11 +36,7 @@ fn digests(bench: &QubikosCircuit) -> [String; 4] {
 
 /// Checks `(designed SWAPs, two-qubit gates, seed) → digests` on `device`,
 /// then the device's 144-configuration sweep digest.
-fn check_device(
-    device: DeviceKind,
-    golden: &[((usize, usize, u64), [&str; 4])],
-    golden_sweep: &str,
-) {
+fn check_device(device: DeviceKind, golden: &[Pinned<'_>], golden_sweep: &str) {
     let arch = device.build();
     for &((swaps, gates, seed), expected) in golden {
         let config = GeneratorConfig::new(swaps, gates).with_seed(seed);
