@@ -121,8 +121,8 @@ pub fn generate(
 ///
 /// What depends only on the device (the coupler list and the SWAP
 /// candidates) is computed once per instance, and every per-section working
-/// set lives in [`Scratch`], so a section allocates nothing but its own
-/// [`Section`] record.
+/// set lives in [`Scratch`], so a section allocates only its own
+/// [`Section`] record and whatever the two circuits need to grow.
 struct Builder<'a, 'r> {
     arch: &'a Architecture,
     rng: &'r mut ChaCha8Rng,
