@@ -379,11 +379,12 @@ pub fn run_suite_evaluation_partial(
 }
 
 /// Evaluates one shard: cache lookups, engine routing of the misses, cache
-/// writes. A shard with misses is first loaded and verified instance by
-/// instance on the engine's workers ([`SuiteStore::load_shard_on`]). Returns `(tool_index, designed SWAP count, inserted SWAPs)` per
-/// (tool, instance) pair plus the routed/cache-hit counts — everything the
-/// caller's fold needs, so a corrupt shard can be dropped wholesale before
-/// anything is folded.
+/// writes. A shard with misses is first loaded, its instances verified as
+/// jobs on the engine's workers ([`SuiteStore::load_shard_on`]). Returns
+/// `(tool_index, designed SWAP count, inserted SWAPs)` per (tool, instance)
+/// pair plus the routed/cache-hit counts — everything the caller's fold
+/// needs, so a corrupt shard can be dropped wholesale before anything is
+/// folded.
 #[allow(clippy::type_complexity)]
 fn eval_shard(
     store: &SuiteStore,
