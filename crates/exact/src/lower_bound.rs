@@ -2,7 +2,7 @@
 
 use qubikos_arch::Architecture;
 use qubikos_circuit::Circuit;
-use qubikos_graph::{is_subgraph_isomorphic, Vf2Matcher};
+use qubikos_graph::{is_subgraph_isomorphic, EmbeddingSearch, Vf2Matcher};
 
 /// Lower bound from interaction-graph embeddability: 0 if the interaction
 /// graph embeds into the coupling graph (the circuit *might* be SWAP-free),
@@ -58,10 +58,23 @@ pub fn degree_surplus_lower_bound(circuit: &Circuit, arch: &Architecture) -> usi
         .unwrap_or(0)
 }
 
+/// Search nodes the VF2 probe in [`swap_lower_bound`] may explore.
+const EMBEDDING_PROBE_NODE_LIMIT: u64 = 2_000_000;
+
 /// The best cheap lower bound we can certify without search: the maximum of
 /// the embedding bound and the degree-surplus bound, with a bounded-effort
 /// VF2 probe so the bound stays cheap on large inputs.
 pub fn swap_lower_bound(circuit: &Circuit, arch: &Architecture) -> usize {
+    swap_lower_bound_with_probe_limit(circuit, arch, EMBEDDING_PROBE_NODE_LIMIT)
+}
+
+/// [`swap_lower_bound`] with an explicit VF2 node limit. A probe that runs
+/// out of nodes proves nothing, so it contributes 0, never 1.
+fn swap_lower_bound_with_probe_limit(
+    circuit: &Circuit,
+    arch: &Architecture,
+    node_limit: u64,
+) -> usize {
     let degree_bound = degree_surplus_lower_bound(circuit, arch);
     if degree_bound >= 1 {
         // Already know at least one SWAP is needed; the embedding probe can
@@ -72,10 +85,13 @@ pub fn swap_lower_bound(circuit: &Circuit, arch: &Architecture) -> usize {
         return 0;
     }
     let interaction = circuit.interaction_graph();
-    let embeds = Vf2Matcher::new(&interaction, arch.coupling_graph())
-        .with_node_limit(2_000_000)
-        .is_isomorphic_to_subgraph();
-    usize::from(!embeds)
+    let probe = Vf2Matcher::new(&interaction, arch.coupling_graph())
+        .with_node_limit(node_limit)
+        .search();
+    match probe {
+        EmbeddingSearch::NotFound => 1,
+        EmbeddingSearch::Found(_) | EmbeddingSearch::GaveUp => 0,
+    }
 }
 
 #[cfg(test)]
@@ -90,6 +106,18 @@ mod tests {
         let circuit = Circuit::from_gates(4, [Gate::cx(0, 1), Gate::cx(1, 2), Gate::cx(2, 3)]);
         assert_eq!(embedding_lower_bound(&circuit, &arch), 0);
         assert_eq!(swap_lower_bound(&circuit, &arch), 0);
+    }
+
+    /// A probe that runs out of nodes is not a proof of non-embeddability:
+    /// the path embeds, so the only sound bound is 0.
+    #[test]
+    fn probe_give_up_bounds_at_zero() {
+        let arch = devices::grid(3, 3);
+        let circuit = Circuit::from_gates(4, [Gate::cx(0, 1), Gate::cx(1, 2), Gate::cx(2, 3)]);
+        assert_eq!(swap_lower_bound_with_probe_limit(&circuit, &arch, 1), 0);
+        let triangle = Circuit::from_gates(3, [Gate::cx(0, 1), Gate::cx(1, 2), Gate::cx(0, 2)]);
+        assert_eq!(swap_lower_bound_with_probe_limit(&triangle, &arch, 1), 0);
+        assert_eq!(swap_lower_bound(&triangle, &arch), 1);
     }
 
     #[test]

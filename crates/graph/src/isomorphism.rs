@@ -13,6 +13,17 @@
 
 use crate::graph::{Graph, NodeId};
 
+/// Outcome of an embedding search that may have a node limit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EmbeddingSearch {
+    /// An embedding, as `map[pattern_node] == target_node`.
+    Found(Vec<NodeId>),
+    /// The search was exhaustive: no embedding exists.
+    NotFound,
+    /// The node limit ran out first; the answer is unknown.
+    GaveUp,
+}
+
 /// Backtracking subgraph-monomorphism matcher in the spirit of VF2.
 ///
 /// The matcher owns references to the pattern and target graphs and performs
@@ -49,9 +60,11 @@ impl<'a> Vf2Matcher<'a> {
 
     /// Limits the number of search-tree nodes explored.
     ///
-    /// When the limit is reached the search gives up and behaves as if no
-    /// embedding exists. Useful to bound worst-case runtime on large
-    /// hard instances where the caller only wants a cheap feasibility probe.
+    /// When the limit is reached the search gives up:
+    /// [`Self::find_embedding`] then behaves as if no embedding exists, and
+    /// [`Self::search`] reports [`EmbeddingSearch::GaveUp`]. Useful to
+    /// bound worst-case runtime on large hard instances where the caller
+    /// only wants a cheap feasibility probe.
     pub fn with_node_limit(mut self, limit: u64) -> Self {
         self.node_limit = Some(limit);
         self
@@ -61,13 +74,22 @@ impl<'a> Vf2Matcher<'a> {
     ///
     /// Returns `None` if no embedding exists (or the node limit was hit).
     pub fn find_embedding(&self) -> Option<Vec<NodeId>> {
+        match self.search() {
+            EmbeddingSearch::Found(mapping) => Some(mapping),
+            EmbeddingSearch::NotFound | EmbeddingSearch::GaveUp => None,
+        }
+    }
+
+    /// Searches for one embedding, telling an exhaustive "no" apart from
+    /// running out of the node limit.
+    pub fn search(&self) -> EmbeddingSearch {
         let np = self.pattern.node_count();
         let nt = self.target.node_count();
         if np == 0 {
-            return Some(Vec::new());
+            return EmbeddingSearch::Found(Vec::new());
         }
         if np > nt || self.pattern.edge_count() > self.target.edge_count() {
-            return None;
+            return EmbeddingSearch::NotFound;
         }
         // Quick degree-sequence pruning: the k-th largest pattern degree must
         // not exceed the k-th largest target degree.
@@ -75,18 +97,23 @@ impl<'a> Vf2Matcher<'a> {
         let td = self.target.degree_sequence();
         for (p, t) in pd.iter().zip(td.iter()) {
             if p > t {
-                return None;
+                return EmbeddingSearch::NotFound;
             }
         }
 
         let order = self.match_order();
         let mut mapping = vec![usize::MAX; np];
         let mut used = vec![false; nt];
-        let mut budget = self.node_limit.unwrap_or(u64::MAX);
-        if self.search(&order, 0, &mut mapping, &mut used, &mut budget) {
-            Some(mapping)
+        let mut budget = Budget {
+            left: self.node_limit.unwrap_or(u64::MAX),
+            ran_out: false,
+        };
+        if self.extend(&order, 0, &mut mapping, &mut used, &mut budget) {
+            EmbeddingSearch::Found(mapping)
+        } else if budget.ran_out {
+            EmbeddingSearch::GaveUp
         } else {
-            None
+            EmbeddingSearch::NotFound
         }
     }
 
@@ -123,21 +150,22 @@ impl<'a> Vf2Matcher<'a> {
         order
     }
 
-    fn search(
+    fn extend(
         &self,
         order: &[NodeId],
         depth: usize,
         mapping: &mut Vec<NodeId>,
         used: &mut Vec<bool>,
-        budget: &mut u64,
+        budget: &mut Budget,
     ) -> bool {
         if depth == order.len() {
             return true;
         }
-        if *budget == 0 {
+        if budget.left == 0 {
+            budget.ran_out = true;
             return false;
         }
-        *budget -= 1;
+        budget.left -= 1;
 
         let p = order[depth];
         let p_deg = self.pattern.degree(p);
@@ -153,7 +181,7 @@ impl<'a> Vf2Matcher<'a> {
         let try_candidate = |cand: NodeId,
                              mapping: &mut Vec<NodeId>,
                              used: &mut Vec<bool>,
-                             budget: &mut u64|
+                             budget: &mut Budget|
          -> bool {
             if used[cand] || self.target.degree(cand) < p_deg {
                 return false;
@@ -167,7 +195,7 @@ impl<'a> Vf2Matcher<'a> {
             }
             mapping[p] = cand;
             used[cand] = true;
-            if self.search(order, depth + 1, mapping, used, budget) {
+            if self.extend(order, depth + 1, mapping, used, budget) {
                 return true;
             }
             mapping[p] = usize::MAX;
@@ -194,6 +222,13 @@ impl<'a> Vf2Matcher<'a> {
         }
         false
     }
+}
+
+/// Search nodes left to a node-limited [`Vf2Matcher`], and whether a branch
+/// was cut for lack of them.
+struct Budget {
+    left: u64,
+    ran_out: bool,
 }
 
 /// Convenience wrapper: does `pattern` embed into a subgraph of `target`?
@@ -425,6 +460,14 @@ mod tests {
         assert!(found.is_none());
         let found = Vf2Matcher::new(&pattern, &target).find_embedding();
         assert!(found.is_some());
+        // The three-valued search tells the give-up apart from a proof.
+        let limited = Vf2Matcher::new(&pattern, &target).with_node_limit(1);
+        assert_eq!(limited.search(), EmbeddingSearch::GaveUp);
+        let too_big = Vf2Matcher::new(&target, &pattern).with_node_limit(1);
+        assert_eq!(too_big.search(), EmbeddingSearch::NotFound);
+        let triangle = generators::cycle_graph(3);
+        let exhaustive = Vf2Matcher::new(&triangle, &target).with_node_limit(1_000);
+        assert_eq!(exhaustive.search(), EmbeddingSearch::NotFound);
     }
 
     #[test]

@@ -9,13 +9,8 @@
 //! * [`Graph`] — a compact adjacency-list undirected graph.
 //! * [`traversal`] — BFS/DFS orders, BFS edge orders (used by the QUBIKOS
 //!   backbone construction), connected components.
-//! * [`distance`] — dense all-pairs shortest-path distances, the small-device
-//!   workhorse of every SWAP-routing heuristic.
-//! * [`csr`] — frozen compressed-sparse-row adjacency for cache-friendly BFS
-//!   on routing-scale devices.
-//! * [`oracle`] — the [`DistanceOracle`] abstraction: dense matrix (every
-//!   built-in device) or on-demand BFS with a bounded, pinnable row cache
-//!   (graphs above 512 nodes), one exact-distance query API.
+//! * [`distance`] — the dense all-pairs shortest-path table every
+//!   SWAP-routing heuristic and exact lower bound scores against.
 //! * [`isomorphism`] — VF2-style subgraph monomorphism, used both to check
 //!   that QUBIKOS interaction graphs cannot be embedded into the coupling
 //!   graph and to implement QUEKO-style initial placement, plus the
@@ -40,22 +35,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csr;
 pub mod distance;
 pub mod generators;
 pub mod graph;
 pub mod isomorphism;
-pub mod oracle;
 pub mod traversal;
 pub mod weights;
 
-pub use csr::CsrGraph;
 pub use distance::DistanceMatrix;
 pub use graph::{Edge, Graph, NodeId};
-pub use isomorphism::{automorphisms, find_subgraph_embedding, is_subgraph_isomorphic, Vf2Matcher};
-pub use oracle::{
-    default_row_capacity, BfsOracle, DistanceOracle, DistanceRow, OracleKind, OracleStats,
-    DENSE_ORACLE_MAX_NODES, SPARSE_ROW_CACHE_CAPACITY,
+pub use isomorphism::{
+    automorphisms, find_subgraph_embedding, is_subgraph_isomorphic, EmbeddingSearch, Vf2Matcher,
 };
 pub use traversal::{bfs_distances, bfs_edge_order, bfs_order, connected_components, EdgeWalk};
 pub use weights::CouplerWeights;

@@ -24,8 +24,8 @@
 //!
 //! Hop *distances* stay unweighted integers throughout — weights scale the
 //! cost of performing a SWAP on an edge, not the length of paths through
-//! it, which keeps every distance-oracle tier (and its exactness
-//! guarantees) untouched.
+//! it, which keeps the distance table (and its exactness guarantees)
+//! untouched.
 
 use crate::graph::{Graph, NodeId};
 

@@ -19,8 +19,7 @@ use crate::kernel::scratch::StampSet;
 use crate::mapping::Mapping;
 use qubikos_arch::Architecture;
 use qubikos_circuit::{DagNodeId, DependencyDag};
-use qubikos_graph::{DistanceRow, NodeId};
-use std::sync::Arc;
+use qubikos_graph::NodeId;
 
 /// Weighting of the extended-set (lookahead) term, mirroring
 /// [`SabreConfig`](crate::SabreConfig).
@@ -76,19 +75,6 @@ pub struct SwapScorer {
     ext_weight_sum: f64,
     /// Per-candidate dedupe of entries touching both swapped qubits.
     mark: StampSet,
-    /// `held_rows[p]` = the distance row from `p`, held for the duration of
-    /// the current front (one oracle fetch per source per `prepare` epoch
-    /// instead of one point query per candidate pair). Rows are pure graph
-    /// data — mapping-independent — so applied SWAPs never invalidate them.
-    held_rows: Vec<Option<Arc<[usize]>>>,
-    /// Sources with a held row, for O(held) clearing.
-    held_list: Vec<NodeId>,
-    /// Whether the oracle has a row-cache tier worth holding rows from
-    /// (the dense matrix answers point queries in one array read already).
-    use_rows: bool,
-    /// Physical qubits of the current front gates — the pin set forwarded
-    /// to the oracle's row cache, remapped on every [`Self::apply`].
-    pin_buf: Vec<NodeId>,
 }
 
 impl SwapScorer {
@@ -114,18 +100,10 @@ impl SwapScorer {
             self.front_active[p] = false;
         }
         self.touched_phys.clear();
-        for &q in &self.held_list {
-            self.held_rows[q] = None;
-        }
-        self.held_list.clear();
         if self.touch.len() < arch.num_qubits() {
             self.touch.resize(arch.num_qubits(), Vec::new());
             self.front_active.resize(arch.num_qubits(), false);
         }
-        if self.held_rows.len() < arch.num_qubits() {
-            self.held_rows.resize(arch.num_qubits(), None);
-        }
-        self.use_rows = arch.oracle().row_tier().is_some();
         self.entries.clear();
         self.front_len = front.len();
         self.front_sum = 0.0;
@@ -143,18 +121,6 @@ impl SwapScorer {
                 None => 1.0,
             };
             self.push_entry(node, dag, mapping, arch, weight, false);
-        }
-
-        // Kernel→oracle hint channel: pin the front qubits' rows so the
-        // sources every candidate scan touches survive LRU eviction.
-        if self.use_rows {
-            self.pin_buf.clear();
-            for &p in &self.touched_phys {
-                if self.front_active[p] {
-                    self.pin_buf.push(p);
-                }
-            }
-            arch.pin_distance_sources(&self.pin_buf);
         }
     }
 
@@ -204,48 +170,24 @@ impl SwapScorer {
         }
     }
 
-    /// The row of distances from `q`, fetched from the oracle at most once
-    /// per `prepare` epoch and held across the whole candidate scan.
-    fn held_row(&mut self, q: NodeId, arch: &Architecture) -> &[usize] {
-        if self.held_rows[q].is_none() {
-            let row: Arc<[usize]> = match arch.distance_row(q) {
-                DistanceRow::Shared(row) => row,
-                DistanceRow::Borrowed(row) => Arc::from(row),
-            };
-            self.held_rows[q] = Some(row);
-            self.held_list.push(q);
-        }
-        self.held_rows[q].as_deref().expect("just inserted")
-    }
-
     /// The distance of `entry`'s gate if `(u, v)` were swapped.
     ///
     /// Every touched entry has at least one endpoint on `u` or `v`. If both
     /// endpoints move they exchange positions and the distance is
-    /// unchanged; otherwise exactly one endpoint is fixed, and the held row
-    /// of that *fixed* endpoint answers the query — so a whole candidate
-    /// scan costs one row fetch per distinct gate endpoint instead of one
-    /// oracle point query per (candidate × touched gate) pair.
-    fn new_dist(&mut self, entry: Entry, u: NodeId, v: NodeId, arch: &Architecture) -> usize {
+    /// unchanged; otherwise exactly one endpoint moves, and one table read
+    /// answers the query.
+    fn new_dist(entry: Entry, u: NodeId, v: NodeId, arch: &Architecture) -> usize {
         let a_moved = entry.phys_a == u || entry.phys_a == v;
         let b_moved = entry.phys_b == u || entry.phys_b == v;
         match (a_moved, b_moved) {
             (true, true) | (false, false) => entry.dist,
             (true, false) => {
                 let new_a = if entry.phys_a == u { v } else { u };
-                if self.use_rows {
-                    self.held_row(entry.phys_b, arch)[new_a]
-                } else {
-                    arch.distance(new_a, entry.phys_b)
-                }
+                arch.distance(new_a, entry.phys_b)
             }
             (false, true) => {
                 let new_b = if entry.phys_b == u { v } else { u };
-                if self.use_rows {
-                    self.held_row(entry.phys_a, arch)[new_b]
-                } else {
-                    arch.distance(entry.phys_a, new_b)
-                }
+                arch.distance(entry.phys_a, new_b)
             }
         }
     }
@@ -263,7 +205,7 @@ impl SwapScorer {
                     continue;
                 }
                 let entry = self.entries[idx];
-                let new_dist = self.new_dist(entry, u, v, arch);
+                let new_dist = Self::new_dist(entry, u, v, arch);
                 if entry.is_front {
                     d_front += new_dist as i64 - entry.dist as i64;
                 } else {
@@ -325,7 +267,7 @@ impl SwapScorer {
                     continue;
                 }
                 let entry = self.entries[idx];
-                let new_dist = self.new_dist(entry, u, v, arch);
+                let new_dist = Self::new_dist(entry, u, v, arch);
                 let delta_front = new_dist as f64 - entry.dist as f64;
                 let updated = &mut self.entries[idx];
                 updated.phys_a = resolve(entry.phys_a);
@@ -347,24 +289,6 @@ impl SwapScorer {
         }
         self.touch.swap(u, v);
         self.front_active.swap(u, v);
-
-        // Keep the pin set tracking the front: a pinned qubit that moved in
-        // this swap now lives on the other physical qubit.
-        if self.use_rows && !self.pin_buf.is_empty() {
-            let mut changed = false;
-            for p in &mut self.pin_buf {
-                if *p == u {
-                    *p = v;
-                    changed = true;
-                } else if *p == v {
-                    *p = u;
-                    changed = true;
-                }
-            }
-            if changed {
-                arch.pin_distance_sources(&self.pin_buf);
-            }
-        }
     }
 }
 
@@ -534,58 +458,6 @@ mod tests {
                 })
                 .sum();
             assert_eq!(scorer.front_total(swap, &arch), reference);
-        }
-    }
-
-    /// The same fixture as [`setup`], but on the sparse row-cache oracle so
-    /// the held-row and pinning paths are exercised.
-    fn setup_sparse() -> (Architecture, DependencyDag, Mapping) {
-        let (dense, dag, mapping) = setup();
-        let arch = Architecture::with_oracle(
-            dense.name(),
-            dense.coupling_graph().clone(),
-            qubikos_graph::OracleKind::Sparse,
-        )
-        .expect("connected");
-        (arch, dag, mapping)
-    }
-
-    #[test]
-    fn held_row_scores_match_rescan_on_sparse_oracle() {
-        let (arch, dag, mut mapping) = setup_sparse();
-        let front = [0, 1, 2];
-        let extended = [3, 4];
-        let params = ScoreParams {
-            extended_set_weight: 0.5,
-            lookahead_decay: None,
-        };
-        let mut scorer = SwapScorer::new();
-        scorer.prepare(&front, &extended, &dag, &mapping, &arch, &params);
-        for edge in arch.couplers() {
-            let swap = (edge.u, edge.v);
-            let fast = scorer.swap_cost(swap, &arch, &params);
-            let slow = reference_cost(swap, &front, &extended, &dag, &mapping, &arch, &params);
-            assert_eq!(fast, slow, "swap {swap:?} diverged");
-        }
-        // Row economy: a full candidate scan used at most one row fetch per
-        // distinct gate endpoint, not one point query per candidate pair.
-        let stats = arch.oracle_stats();
-        assert!(stats.rows_computed <= 12, "rows {}", stats.rows_computed);
-        // The front qubits were pinned through the hint channel.
-        let tier = arch.oracle().row_tier().expect("sparse tier");
-        assert_eq!(tier.pinned_nodes(), 6);
-        // Scores stay consistent across applied swaps (held rows are graph
-        // data and survive mapping changes).
-        for swap in [(0usize, 1usize), (4, 5), (1, 2)] {
-            mapping.apply_swap_physical(swap.0, swap.1);
-            scorer.apply(swap, &arch);
-            for edge in arch.couplers() {
-                let candidate = (edge.u, edge.v);
-                let fast = scorer.swap_cost(candidate, &arch, &params);
-                let slow =
-                    reference_cost(candidate, &front, &extended, &dag, &mapping, &arch, &params);
-                assert_eq!(fast, slow, "after {swap:?}, candidate {candidate:?}");
-            }
         }
     }
 

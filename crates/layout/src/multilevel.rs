@@ -274,11 +274,8 @@ impl MultilevelRouter {
     /// locations when it reduces the weighted interaction distance.
     fn refine(&self, level: &Level, arch: &Architecture, assignment: &mut [NodeId]) {
         let n = level.node_count();
-        // Point queries, deliberately: the pair sweep below makes `pos` a
-        // fresh source almost every call, so fetching a full row per call
-        // would evict the sparse oracle's cache on every iteration. Point
-        // lookups let the cache settle on the (stable) assignment-side rows
-        // via the oracle's symmetric-row check.
+        // Point queries: the pair sweep below makes `pos` a fresh source
+        // almost every call, so there is no row to reuse.
         let cost_of = |u: usize, pos: NodeId, assignment: &[NodeId]| -> u64 {
             level.weights[u]
                 .iter()

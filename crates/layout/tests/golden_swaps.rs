@@ -74,62 +74,6 @@ fn golden_swap_counts_on_heavy_hex() {
     check_fixture("rochester-53", &arch, &circuit, [54, 71, 107, 85]);
 }
 
-/// The sparse oracle answers exactly the distances the dense matrix does, so
-/// forcing it onto the fixture devices must reproduce every golden count
-/// bit-for-bit — the acceptance gate for swapping oracle implementations out
-/// from under the routers. Osprey-433 is the largest built-in device and the
-/// one where the sparse tier's row cache is under the most pressure.
-#[test]
-fn golden_swap_counts_unchanged_under_sparse_oracle() {
-    use qubikos::queko::{generate_queko, QuekoConfig};
-    use qubikos_graph::OracleKind;
-    /// (name, dense-oracle arch, circuit, golden counts).
-    type Fixture = (&'static str, Architecture, Circuit, [usize; 4]);
-    let osprey = devices::osprey433();
-    let osprey_queko = generate_queko(
-        &osprey,
-        &QuekoConfig::new(5).with_density(0.05).with_seed(9),
-    )
-    .expect("generates");
-    let fixtures: [Fixture; 4] = [
-        (
-            "line-8",
-            devices::line(8),
-            random_circuit(6, 30, 42),
-            [10, 16, 29, 25],
-        ),
-        (
-            "grid-4x4",
-            devices::grid(4, 4),
-            random_circuit(12, 60, 7),
-            [16, 34, 48, 52],
-        ),
-        (
-            "rochester-53",
-            devices::rochester53(),
-            random_circuit(20, 60, 3),
-            [54, 71, 107, 85],
-        ),
-        (
-            "osprey-433",
-            osprey.clone(),
-            osprey_queko.circuit().clone(),
-            [2, 22, 4, 4],
-        ),
-    ];
-    for (name, dense_arch, circuit, golden) in fixtures {
-        assert_eq!(dense_arch.oracle_kind(), OracleKind::Dense);
-        let sparse_arch = Architecture::with_oracle(
-            dense_arch.name(),
-            dense_arch.coupling_graph().clone(),
-            OracleKind::Sparse,
-        )
-        .expect("connected");
-        check_fixture(name, &sparse_arch, &circuit, golden);
-        assert!(sparse_arch.oracle_stats().rows_computed > 0);
-    }
-}
-
 /// The construction kit's new cost axis, pinned: the four named
 /// compositions re-run with **fidelity-derived (non-uniform) coupler
 /// weights** forced on, and the resulting SWAP counts fixed as a fresh
@@ -189,16 +133,13 @@ fn golden_swap_counts_under_fidelity_weights() {
 }
 
 /// Osprey-433 golden fixture: one small QUEKO instance routed by all four
-/// tools on the auto-selected dense oracle, exact SWAP counts pinned. The
-/// counts were taken when Osprey still routed through the landmark-backed
-/// sparse oracle, so they also pin that the move to the dense table changed
-/// no routing decision at scale.
+/// tools, exact SWAP counts pinned. The counts were taken when Osprey still
+/// routed through the landmark-backed sparse oracle, so they also pin that
+/// the move to the dense table changed no routing decision at scale.
 #[test]
 fn golden_swap_counts_on_osprey433_queko() {
     use qubikos::queko::{generate_queko, QuekoConfig};
-    use qubikos_graph::OracleKind;
     let arch = devices::osprey433();
-    assert_eq!(arch.oracle_kind(), OracleKind::Dense);
     let queko = generate_queko(&arch, &QuekoConfig::new(5).with_density(0.05).with_seed(9))
         .expect("generates");
     check_fixture("osprey-433", &arch, queko.circuit(), [2, 22, 4, 4]);
